@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -45,30 +46,35 @@ func uploadN(t *testing.T, addr string, n int, seed uint64) {
 }
 
 // TestServeSmoke boots the server on a free port, uploads three updates
-// concurrently, and checks the summary output.
+// concurrently, and checks the summary output and the per-update log
+// lines — with the default single shard and with -shards 2.
 func TestServeSmoke(t *testing.T) {
-	ready := make(chan string, 1)
-	var out bytes.Buffer
-	// The errCh receive below happens-after serve returns, so reading out
-	// afterwards is race-free.
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, updates: 3, ready: ready, out: &out})
-	}()
-	addr := <-ready
-	uploadN(t, addr, 3, 3)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	output := out.String()
-	for _, want := range []string{
-		"listening on", "ingested 3 update(s)", "overlap ratio", "FedAvg mean over 3",
-		// slog per-update lines with client/remote attrs
-		`msg=update`, `client=`, `remote=127.0.0.1:`, `wire_bytes=`,
-	} {
-		if !strings.Contains(output, want) {
-			t.Fatalf("output missing %q:\n%s", want, output)
-		}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ready := make(chan string, 1)
+			var out bytes.Buffer
+			// The errCh receive below happens-after serve returns, so
+			// reading out afterwards is race-free.
+			errCh := make(chan error, 1)
+			go func() {
+				errCh <- serve(serveOpts{addr: "127.0.0.1:0", parallel: 2, shards: shards, updates: 3, ready: ready, out: &out})
+			}()
+			addr := <-ready
+			uploadN(t, addr, 3, 3)
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			output := out.String()
+			for _, want := range []string{
+				"listening on", "ingested 3 update(s)", "overlap ratio", "FedAvg mean over 3",
+				// slog per-update lines with client/remote attrs
+				`msg=update`, `client=`, `remote=127.0.0.1:`, `wire_bytes=`,
+			} {
+				if !strings.Contains(output, want) {
+					t.Fatalf("output missing %q:\n%s", want, output)
+				}
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package agg implements the sharded, hierarchical aggregation tier: the
-// scale-out story for the one-process, one-Aggregator flserve baseline.
+// Package agg implements the server-side FedAvg fold: a sharded,
+// hierarchical aggregation tier that every flserve.Server ingests through.
 //
 // # Section-sharded fold
 //
@@ -19,22 +19,21 @@
 //
 // An update is staged first and folded only after its wire trailer
 // verifies, so a mid-stream corruption never half-folds into the
-// accumulator — the same atomicity the decode-then-Handler path has.
-// Sequential ingest at weight 1 is bit-for-bit identical to
-// flserve.Aggregator: the first update is adopted (not added), later
-// updates fold with the same a[i] += w·b[i] kernel in the same order.
-// Under concurrent ingest only the per-tensor fold order can differ,
-// which reassociates float addition; the conformance tests bound that
-// difference (see TestShardedConformance).
+// accumulator. Sequential ingest at weight 1 is bit-for-bit identical to
+// the textbook fold of the decoded updates: the first update is adopted
+// (not added), later updates fold with the same a[i] += w·b[i] kernel as
+// StateDict.AddScaled in arrival order, and the mean is one final
+// float32 divide. Under concurrent ingest only the per-tensor fold order
+// can differ, which reassociates float addition; the conformance tests
+// bound that difference (see TestShardedConformance).
 //
 // # Hierarchical topology
 //
-// Edge composes a local flserve.Server (fed by Sharded) with an upstream
-// flserve.Client: the edge folds its local population and forwards ONE
-// fused, weighted (FLS3) update, so a root folding E edges at weights
-// n_1..n_E computes the same weighted mean as a flat fold of Σn_i clients
-// — up to float reassociation and the one extra lossy encode of each
-// edge's fused mean.
+// An edge is a flserve.Server folding its local population through a
+// Sharded; Forward then sends ONE fused, weighted (FLS3) update upstream,
+// so a root folding E edges at weights n_1..n_E computes the same
+// weighted mean as a flat fold of Σn_i clients — up to float
+// reassociation and the one extra lossy encode of each edge's fused mean.
 package agg
 
 import (
@@ -45,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flserve"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/wire"
@@ -55,13 +55,14 @@ type Config struct {
 	// Shards is P, the number of accumulator shards (0 selects 1).
 	Shards int
 	// Pool supplies decode parallelism (nil selects the process-wide
-	// shared pool). Routed sections decode under this budget exactly like
-	// the whole-stream path, so a server passing its own pool keeps one
-	// parallelism budget across both ingest modes.
+	// shared pool): every connection's routed sections decode under this
+	// one budget, and Forward encodes on it.
 	Pool *sched.Pool
 	// DedupByClient folds only the first update per client ID and silently
 	// accepts (acks, drains, drops) later duplicates — the at-least-once
-	// delivery guard, matching flserve.Aggregator.DedupByClient.
+	// delivery guard for a single-round aggregation, where a retried
+	// upload must not double-weight its client. Leave false when one
+	// client legitimately contributes several updates.
 	DedupByClient bool
 }
 
@@ -103,8 +104,7 @@ type Sharded struct {
 	meta *tensor.StateDict
 	// sumView assembles the sharded accumulator slices and meta entries
 	// into one StateDict in original entry order — the tensors alias the
-	// shard buffers, so folds are visible through it and Mean/MeanInto
-	// mirror flserve.Aggregator exactly.
+	// shard buffers, so folds are visible through it.
 	sumView *tensor.StateDict
 	n       int
 	wsum    float64
@@ -182,7 +182,7 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 
 	// Duplicate from a retried at-least-once upload: consume and verify
 	// the stream (protocol stays in sync, trailer still checked) but fold
-	// nothing — the sharded mirror of Aggregator's dedup drop.
+	// nothing.
 	if s.cfg.DedupByClient && s.isDup(client) {
 		if err := drain(sc); err != nil {
 			return 0, core.DecompressStats{}, err
@@ -366,8 +366,10 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 
 	poolHits1, poolMisses1 := sched.BytePoolCounters()
 	floatHits1, floatMisses1 := sched.FloatPoolCounters()
+	elapsed := time.Since(start)
+	dec.ObserveDecode(elapsed)
 	return sc.WireBytes(), core.DecompressStats{
-		DecompressTime:  time.Since(start),
+		DecompressTime:  elapsed,
 		ReadWait:        tr.blocked,
 		DecodeWork:      decodeWork.load(),
 		PoolHits:        poolHits1 - poolHits0,
@@ -394,7 +396,7 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 		}
 		if s.seen[client] {
 			// A concurrent duplicate slipped past the ingest-time check;
-			// drop it here exactly like Aggregator would.
+			// drop it here.
 			for i := range entries {
 				sched.PutFloats(entries[i].data)
 				entries[i].data = nil
@@ -558,9 +560,11 @@ func (s *Sharded) Mean() (*tensor.StateDict, int) {
 	return sd, n
 }
 
-// MeanInto is Mean writing into dst's storage; a structurally
-// incompatible dst returns an explicit error. Semantics mirror
-// flserve.Aggregator.MeanInto.
+// MeanInto is Mean writing into dst's storage (the steady-state path for a
+// server computing a mean every round). A non-nil dst must be structurally
+// compatible with the accumulator; a mismatch — the model changed shape
+// while the server kept its old scratch — returns an explicit error rather
+// than silently reallocating over a dict the caller believes it is reusing.
 func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -574,8 +578,8 @@ func (s *Sharded) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error
 	}
 	out := s.sumView.CloneInto(dst)
 	if s.wsum == float64(s.n) {
-		// Unweighted traffic: the historical float32 divide, bit-identical
-		// to flserve.Aggregator.
+		// Unweighted traffic: one float32 divide, bit-identical to the
+		// adopt-first fold of the decoded updates.
 		out.Scale(1 / float32(s.n))
 	} else {
 		out.Scale(float32(1 / s.wsum))
@@ -601,6 +605,34 @@ func (s *Sharded) Reset() {
 	s.n = 0
 	s.wsum = 0
 	s.seen = nil
+}
+
+// Forward sends the weighted mean of everything folded so far upstream as
+// ONE fused update over the FLS3 weighted protocol — the edge half of an
+// edge→root tree — and resets the accumulator for the next round. The mean
+// is lossy-encoded again on the aggregator's pool under opts, so the
+// edge→root tolerance is one extra error bound on top of the client→edge
+// one; tighten the bound (e.g. ebcl.Rel(1e-4)) when the tree is deep. Call
+// it once the round's ingest has finished. It returns the weight forwarded
+// (the represented population size); 0 with a nil error means there was
+// nothing to forward. On error the accumulator is kept so a later Forward
+// can retry.
+func (s *Sharded) Forward(ctx context.Context, up *flserve.Client, id uint32, opts core.Options) (float64, error) {
+	mean, n := s.Mean()
+	if n == 0 {
+		return 0, nil
+	}
+	weight := s.WeightSum()
+	stream, _, err := core.CompressWith(ctx, s.pool, mean, opts)
+	core.Release(mean)
+	if err != nil {
+		return 0, fmt.Errorf("agg: forward encode: %w", err)
+	}
+	if err := up.UploadWeighted(ctx, id, weight, stream); err != nil {
+		return 0, fmt.Errorf("agg: forward upload: %w", err)
+	}
+	s.Reset()
+	return weight, nil
 }
 
 // atomicDuration accumulates decode work across pool tasks.
@@ -642,7 +674,7 @@ func scale(a []float32, w float32) {
 
 // addScaled is the fold kernel: a[i] += w·b[i], the same arithmetic as
 // StateDict.AddScaled so sequential unweighted ingest stays bit-for-bit
-// with the single-aggregator path.
+// with the adopt-first fold of the decoded updates.
 func addScaled(a, b []float32, w float32) {
 	for i := range a {
 		a[i] += w * b[i]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/eblctest"
 	"repro/internal/flserve"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -72,25 +74,51 @@ func ingest(t testing.TB, s *Sharded, client uint32, weight float64, framed []by
 	}
 }
 
-// TestShardedConformance is the correctness anchor: for P ∈ {1, 2, 4},
-// sequentially ingesting the same streams through the section-routed
-// sharded fold produces a mean BIT-FOR-BIT identical to the
-// single-Aggregator fold — same adopt-first semantics, same fold kernel,
-// same fold order, same final divide.
-func TestShardedConformance(t *testing.T) {
-	const n = 6
-	streams, decoded := compressUpdates(t, n)
-
-	single := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := single.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
+// oracleMean is the manual FedAvg fold of decoded updates in order: adopt
+// (a copy of) the first, AddScaled(·, 1) the rest, then one float32
+// divide by the count.
+func oracleMean(t testing.TB, decoded []*tensor.StateDict) *tensor.StateDict {
+	t.Helper()
+	mean := decoded[0].Clone()
+	for _, sd := range decoded[1:] {
+		if err := mean.AddScaled(sd, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, wn := single.Mean()
-	if wn != n {
-		t.Fatalf("single aggregator folded %d, want %d", wn, n)
+	mean.Scale(1 / float32(len(decoded)))
+	return mean
+}
+
+// uploadAll fires one concurrent upload per stream (client i carries
+// stream i) and fails the test on any error.
+func uploadAll(t *testing.T, addr string, streams [][]byte) {
+	t.Helper()
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i, s := range streams {
+		wg.Add(1)
+		go func(i int, s []byte) {
+			defer wg.Done()
+			errs[i] = (&flserve.Client{Addr: addr}).Upload(context.Background(), uint32(i), s)
+		}(i, s)
 	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d upload: %v", i, err)
+		}
+	}
+}
+
+// TestShardedConformance is the correctness anchor: for P ∈ {1, 2, 4},
+// sequentially ingesting the same streams through the section-routed
+// sharded fold produces a mean BIT-FOR-BIT identical to the manual
+// adopt-first fold of the decoded updates — same fold kernel, same fold
+// order, same final divide.
+func TestShardedConformance(t *testing.T) {
+	const n = 6
+	streams, decoded := compressUpdates(t, n)
+	want := oracleMean(t, decoded)
 
 	for _, p := range []int{1, 2, 4} {
 		sh := New(Config{Shards: p, Pool: sched.NewPool(2)})
@@ -106,27 +134,21 @@ func TestShardedConformance(t *testing.T) {
 			t.Fatalf("P=%d structure mismatch: %v", p, err)
 		}
 		if diff != 0 {
-			t.Fatalf("P=%d sequential shard-merged fold differs from single aggregator: max abs diff %g, want bit-for-bit 0", p, diff)
+			t.Fatalf("P=%d sequential shard-merged fold differs from the manual fold: max abs diff %g, want bit-for-bit 0", p, diff)
 		}
 		core.Release(got)
 	}
 }
 
 // TestShardedConformanceConcurrent ingests concurrently, where only the
-// per-tensor fold order may differ from the single fold — a float
+// per-tensor fold order may differ from the manual fold — a float
 // reassociation bounded well below the codec's own error bound. The
 // asserted tolerance (1e-5) is the documented weighted-merge tolerance
 // from the README's scale-out section.
 func TestShardedConformanceConcurrent(t *testing.T) {
 	const n = 8
 	streams, decoded := compressUpdates(t, n)
-	single := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := single.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := single.Mean()
+	want := oracleMean(t, decoded)
 
 	for _, p := range []int{2, 4} {
 		sh := New(Config{Shards: p, Pool: sched.NewPool(4)})
@@ -151,6 +173,108 @@ func TestShardedConformanceConcurrent(t *testing.T) {
 			t.Fatalf("P=%d concurrent fold diverged: max abs diff %g > 1e-5", p, diff)
 		}
 		core.Release(got)
+	}
+}
+
+// TestShardedMatchesManualFedAvg: concurrent uploads over real loopback
+// connections must fold to the all-at-once mean of the decoded updates
+// (within float summation noise — arrival order is nondeterministic).
+func TestShardedMatchesManualFedAvg(t *testing.T) {
+	const n = 8
+	streams, decoded := compressUpdates(t, n)
+	sh := New(Config{Pool: sched.NewPool(4)})
+	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadAll(t, srv.Addr().String(), streams)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mean, count := sh.Mean()
+	if count != n {
+		t.Fatalf("aggregated %d updates, want %d", count, n)
+	}
+	want := decoded[0].Zero()
+	for _, sd := range decoded {
+		if err := want.AddScaled(sd, 1/float32(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := mean.MaxAbsDiff(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d > 1e-5 {
+		t.Fatalf("incremental mean differs from reference by %g", d)
+	}
+	core.Release(mean)
+}
+
+// TestShardedMeanIntoShapeMismatch: a destination dict that no longer
+// matches the accumulator must yield the explicit error, never a silent
+// reallocation.
+func TestShardedMeanIntoShapeMismatch(t *testing.T) {
+	streams, _ := compressUpdates(t, 2)
+	sh := New(Config{Shards: 2})
+	for i, s := range streams {
+		ingest(t, sh, uint32(i), 1, frame(t, s))
+	}
+
+	bad := tensor.NewStateDict()
+	bad.Add("conv.weight", tensor.KindWeight, tensor.New(8, 8))
+	if _, n, err := sh.MeanInto(bad); err == nil || n != 2 ||
+		!strings.Contains(err.Error(), "incompatible") {
+		t.Fatalf("mismatched destination: n=%d err=%v, want explicit incompatibility", n, err)
+	}
+
+	// A compatible destination is filled in place.
+	dst := clientUpdate(3)
+	out, n, err := sh.MeanInto(dst)
+	if err != nil || n != 2 {
+		t.Fatalf("compatible destination: n=%d err=%v", n, err)
+	}
+	if out != dst {
+		t.Fatal("MeanInto did not reuse the compatible destination")
+	}
+	want, wn := sh.Mean()
+	if wn != 2 {
+		t.Fatalf("Mean count %d, want 2", wn)
+	}
+	if d, err := out.MaxAbsDiff(want); err != nil || d != 0 {
+		t.Fatalf("MeanInto result differs from Mean: d=%v err=%v", d, err)
+	}
+
+	// Empty accumulator: nil result, no error, any destination accepted.
+	empty := New(Config{})
+	if out, n, err := empty.MeanInto(bad); out != nil || n != 0 || err != nil {
+		t.Fatalf("empty accumulator: (%v, %d, %v), want (nil, 0, nil)", out, n, err)
+	}
+}
+
+// TestShardedObservesDecodeStage: a section-routed ingest feeds the same
+// per-codec fedsz_decode_seconds histogram as the whole-stream decoder,
+// so a server's /metrics keeps that stage timer.
+func TestShardedObservesDecodeStage(t *testing.T) {
+	streams, _ := compressUpdates(t, 1)
+	count := func() float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := telemetry.Default().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := telemetry.ParseText(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := telemetry.FindSample(samples, "fedsz_decode_seconds_count", telemetry.L("codec", "sz2"))
+		return s.Value
+	}
+	before := count()
+	ingest(t, New(Config{}), 0, 1, frame(t, streams[0]))
+	if got := count(); got != before+1 {
+		t.Fatalf("fedsz_decode_seconds_count{codec=sz2} went %v -> %v, want +1", before, got)
 	}
 }
 
@@ -265,41 +389,53 @@ func TestShardedCorruptAtomicity(t *testing.T) {
 	}
 }
 
-// TestShardedDedupAcrossSessions is the at-least-once regression: the
-// same client uploading the same update on two separate sessions (the
+// TestShardedDedupAcrossSessions is the at-least-once regression: a
+// client re-uploading its update on a fresh session (the
 // retry-after-lost-ack pattern) must fold exactly once, and the duplicate
-// must still be acked as success.
+// must still be acked as success. Sequential uploads keep the fold order
+// fixed, so the mean must match the manual fold of the distinct updates
+// bit for bit.
 func TestShardedDedupAcrossSessions(t *testing.T) {
-	streams, decoded := compressUpdates(t, 1)
-	sh := New(Config{Shards: 2, DedupByClient: true})
-	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
+	streams, decoded := compressUpdates(t, 2)
+	for _, tc := range []struct {
+		name    string
+		clients []uint32 // upload order, one session each; client i sends stream i%2
+		folds   int
+	}{
+		{"same client twice", []uint32{42, 42}, 1},
+		{"retried among others", []uint32{0, 1, 0}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := New(Config{Shards: 2, DedupByClient: true})
+			srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for session, id := range tc.clients {
+				c := &flserve.Client{Addr: srv.Addr().String()}
+				if err := c.Upload(context.Background(), id, streams[id%2]); err != nil {
+					t.Fatalf("session %d upload: %v", session, err)
+				}
+			}
+			if n := sh.Count(); n != tc.folds {
+				t.Fatalf("folded %d updates, want %d (duplicate dropped)", n, tc.folds)
+			}
+			got, _ := sh.Mean()
+			diff, err := oracleMean(t, decoded[:tc.folds]).MaxAbsDiff(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff != 0 {
+				t.Fatalf("dedup mean differs from the distinct updates' fold: %g", diff)
+			}
+			core.Release(got)
+		})
 	}
-	defer srv.Close()
-
-	for session := 0; session < 2; session++ {
-		c := &flserve.Client{Addr: srv.Addr().String()}
-		if err := c.Upload(context.Background(), 42, streams[0]); err != nil {
-			t.Fatalf("session %d upload: %v", session, err)
-		}
-	}
-	if n := sh.Count(); n != 1 {
-		t.Fatalf("duplicate across sessions folded %d times, want 1", n)
-	}
-	got, _ := sh.Mean()
-	diff, err := decoded[0].MaxAbsDiff(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff != 0 {
-		t.Fatalf("dedup mean differs from the single update: %g", diff)
-	}
-	core.Release(got)
 }
 
 // TestTwoTierE2E runs a real root + two edges over TCP: clients upload to
-// the edges, the edges flush one fused weighted update each, and the root
+// the edges, the edges Forward one fused weighted update each, and the root
 // mean must match the flat fold of all five clients within the documented
 // tolerance (float reassociation + one extra lossy encode of each edge
 // mean at the edge's tighter bound).
@@ -308,29 +444,24 @@ func TestTwoTierE2E(t *testing.T) {
 	streams, decoded := compressUpdates(t, nA+nB)
 
 	rootAgg := New(Config{Shards: 2, Pool: sched.NewPool(2)})
-	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: rootAgg, Parallel: 2})
+	root, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: rootAgg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
 
-	edgeCfg := func(id uint32) EdgeConfig {
-		return EdgeConfig{
-			Upstream: root.Addr().String(),
-			ClientID: id,
-			Shards:   2,
-			Options:  core.Options{LossyParams: ebcl.Rel(1e-4)},
+	// An edge is a plain server folding its population through a Sharded.
+	listenEdge := func() (*Sharded, *flserve.Server) {
+		sh := New(Config{Shards: 2, Pool: sched.NewPool(2)})
+		srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{Ingestor: sh})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return sh, srv
 	}
-	edgeA, err := ListenEdge("127.0.0.1:0", edgeCfg(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggA, edgeA := listenEdge()
 	defer edgeA.Close()
-	edgeB, err := ListenEdge("127.0.0.1:0", edgeCfg(1001))
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggB, edgeB := listenEdge()
 	defer edgeB.Close()
 
 	var wg sync.WaitGroup
@@ -354,21 +485,23 @@ func TestTwoTierE2E(t *testing.T) {
 		t.FailNow()
 	}
 
-	wA, err := edgeA.Flush(context.Background())
+	up := &flserve.Client{Addr: root.Addr().String()}
+	opts := core.Options{LossyParams: ebcl.Rel(1e-4)}
+	wA, err := aggA.Forward(context.Background(), up, 1000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wB, err := edgeB.Flush(context.Background())
+	wB, err := aggB.Forward(context.Background(), up, 1001, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wA != nA || wB != nB {
-		t.Fatalf("flush weights %v/%v, want %d/%d", wA, wB, nA, nB)
+		t.Fatalf("forward weights %v/%v, want %d/%d", wA, wB, nA, nB)
 	}
-	// A second flush with nothing folded is a no-op, not a zero-weight
+	// A second forward with nothing folded is a no-op, not a zero-weight
 	// upload.
-	if w, err := edgeA.Flush(context.Background()); err != nil || w != 0 {
-		t.Fatalf("empty flush = (%v, %v), want (0, nil)", w, err)
+	if w, err := aggA.Forward(context.Background(), up, 1000, opts); err != nil || w != 0 {
+		t.Fatalf("empty forward = (%v, %v), want (0, nil)", w, err)
 	}
 
 	if n := rootAgg.Count(); n != 2 {
@@ -378,15 +511,7 @@ func TestTwoTierE2E(t *testing.T) {
 		t.Fatalf("root weight sum %v, want %d", ws, nA+nB)
 	}
 	got, _ := rootAgg.Mean()
-
-	flat := &flserve.Aggregator{}
-	for i, sd := range decoded {
-		if err := flat.Add(flserve.Update{Client: uint32(i), State: sd}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := flat.Mean()
-	diff, err := want.MaxAbsDiff(got)
+	diff, err := oracleMean(t, decoded).MaxAbsDiff(got)
 	if err != nil {
 		t.Fatalf("root/flat structure mismatch: %v", err)
 	}

@@ -13,6 +13,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"repro/internal/compressors"
 	"repro/internal/ebcl"
@@ -207,6 +208,14 @@ func (d *SectionDecoder) DecodeTensor(pt *ParsedTensor, ref []float32) ([]float3
 		return nil, fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, pt.Name, err)
 	}
 	return data, nil
+}
+
+// ObserveDecode records one whole update's decode wall time under the
+// stream's lossy codec in fedsz_decode_seconds, the histogram the
+// whole-stream decoder feeds, so a section-routed ingest reports the same
+// per-codec stage timer.
+func (d *SectionDecoder) ObserveDecode(elapsed time.Duration) {
+	stageFor(d.hdr.LossyName).decode.Observe(elapsed.Seconds())
 }
 
 // DecodeLossless reconstructs the metadata partition from a lossless

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // Transport encodes a client's state dict for the wire and decodes it at
@@ -332,43 +334,70 @@ func (t *NetTransport) dial(ctx context.Context, c *flserve.Client) (*flserve.Se
 	return c.Dial(ctx)
 }
 
+// roundCollector is netRound's StreamIngestor: it decodes each whole
+// update on the round's pool (wire de-framing into core.DecompressFromOpts,
+// then the trailer drained so an update is acked only after its
+// whole-stream CRC verified) and keeps the dict by client ID — the
+// BatchTransport contract's per-client dicts, bit-identical to an
+// in-memory decode of the same payload.
+type roundCollector struct {
+	pool    *sched.Pool
+	mu      sync.Mutex
+	results []*tensor.StateDict
+	durs    []time.Duration
+}
+
+func (c *roundCollector) IngestStream(ctx context.Context, client uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	wr := wire.NewReader(r)
+	defer wr.Close()
+	sd, st, err := core.DecompressFromOpts(ctx, c.pool, wr, dopts)
+	if err != nil {
+		return 0, core.DecompressStats{}, err
+	}
+	if _, err := io.Copy(io.Discard, wr); err != nil {
+		core.Release(sd)
+		return 0, core.DecompressStats{}, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case int(client) >= len(c.results):
+		core.Release(sd)
+		return 0, core.DecompressStats{}, fmt.Errorf("fl: unexpected client id %d", client)
+	case c.results[client] != nil:
+		// A retry after a lost ack re-delivers an already-folded update;
+		// keep the first result (uploads are at-least-once) and recycle
+		// the duplicate's decode buffers.
+		core.Release(sd)
+	default:
+		c.results[client] = sd
+		d := st.DecompressTime - st.ReadWait
+		if d < st.DecodeWork {
+			d = st.DecodeWork
+		}
+		c.durs[client] = d
+	}
+	return wr.WireBytes(), *st, nil
+}
+
 // netRound is the shared server+session scaffolding behind DecodeAll and
-// EncodeUploadAll: an ephemeral aggregation server, a handler collecting
-// results by client ID, and n updates multiplexed over a few reused
-// sessions. upload sends update i on its session.
+// EncodeUploadAll: an ephemeral aggregation server, a roundCollector
+// keeping results by client ID, and n updates multiplexed over a few
+// reused sessions. upload sends update i on its session.
 func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx context.Context, s *flserve.Session, i int) error) ([]*tensor.StateDict, []time.Duration, error) {
-	results := make([]*tensor.StateDict, n)
-	durs := make([]time.Duration, n)
-	var mu sync.Mutex
+	col := &roundCollector{
+		pool:    sched.NewPool(t.Parallel),
+		results: make([]*tensor.StateDict, n),
+		durs:    make([]time.Duration, n),
+	}
 	var refProvider func(uint32) *tensor.StateDict
 	if t.Delta {
 		refProvider = t.ref.Provider()
 	}
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
-		Parallel:      t.Parallel,
 		UploadTimeout: t.Timeout,
 		RefProvider:   refProvider,
-		Handler: func(u flserve.Update) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if int(u.Client) >= n {
-				return fmt.Errorf("fl: unexpected client id %d", u.Client)
-			}
-			if results[u.Client] != nil {
-				// A retry after a lost ack re-delivers an already-folded
-				// update; keep the first result (uploads are at-least-once)
-				// and recycle the duplicate's decode buffers.
-				core.Release(u.State)
-				return nil
-			}
-			results[u.Client] = u.State
-			d := u.Stats.DecompressTime - u.Stats.ReadWait
-			if d < u.Stats.DecodeWork {
-				d = u.Stats.DecodeWork
-			}
-			durs[u.Client] = d
-			return nil
-		},
+		Ingestor:      col,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -458,13 +487,13 @@ func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx cont
 	if closeErr != nil {
 		return nil, nil, closeErr
 	}
-	for i, sd := range results {
+	for i, sd := range col.results {
 		if sd == nil {
 			return nil, nil, fmt.Errorf("fl: client %d update never arrived", i)
 		}
 	}
-	t.LastStats = srv.Stats()
-	return results, durs, nil
+	t.LastStats = srv.Snapshot()
+	return col.results, col.durs, nil
 }
 
 // DecodeAll implements BatchTransport: pre-compressed payloads upload over

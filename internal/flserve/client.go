@@ -19,7 +19,7 @@ import (
 )
 
 // ErrRejected marks a server-side rejection: the server received the
-// update and refused it (decode failure, handler error). It is distinct
+// update and refused it (decode failure, fold error). It is distinct
 // from a transport failure — the client's retry loop re-dials transport
 // failures but never retries a rejection.
 var ErrRejected = errors.New("flserve: server rejected update")
@@ -64,7 +64,7 @@ type Client struct {
 	// each time with doubling backoff. Only transport failures retry; a
 	// server rejection (ErrRejected) returns immediately. Delivery is
 	// at-least-once: an ack lost after the server folded the update makes
-	// the retry a duplicate, which handlers must tolerate or deduplicate
+	// the retry a duplicate, which ingestors must tolerate or deduplicate
 	// by client ID.
 	Retries int
 	// RetryBackoff is the first retry delay (0 selects 50 ms); it doubles

@@ -1,8 +1,9 @@
 // Package flserve implements the streaming side of the paper's
 // aggregation-server scenario (Eqn 1, Figures 6–9): a TCP server that
-// ingests many concurrent FedSZ-compressed client updates, decoding each
-// tensor while the next is still crossing the network, and folding
-// finished updates incrementally into a FedAvg accumulator.
+// ingests many concurrent FedSZ-compressed client updates and hands each
+// connection's wire stream to a StreamIngestor (internal/agg.Sharded),
+// which decodes each tensor while the next is still crossing the network
+// and folds finished updates incrementally into a FedAvg accumulator.
 //
 // # Connection protocol
 //
@@ -19,20 +20,20 @@
 // historical one-update-per-connection exchange is exactly the first
 // iteration of this loop, so old single-shot clients are wire-compatible.
 // wireStream is the internal/wire framing of a FedSZ stream; each ack is
-// written only after that update has been decoded, verified, and handed to
-// the handler, so a successful Upload means the server has durably folded
-// the update. After a failed update the server acks the error and drops
-// the connection (stream synchronization is unreliable past a damaged
-// frame); clients resume on a fresh dial.
+// written only after the Ingestor has read that update through its
+// verified trailer and folded it, so a successful Upload means the server
+// has durably folded the update. After a failed update the server acks
+// the error and drops the connection (stream synchronization is
+// unreliable past a damaged frame); clients resume on a fresh dial.
 //
 // # Pipelining and backpressure
 //
-// Each connection pipes its socket through wire.Reader (per-frame CRC
-// verification) into core.DecompressFrom, which submits every fully
-// received tensor blob to the server's shared sched.Pool and immediately
-// resumes reading. Decode therefore overlaps receive on every connection,
-// while total decode parallelism across all connections stays at the
-// configured budget. Backpressure is layered:
+// Each connection hands its buffered socket to the Ingestor, which
+// de-frames it (per-frame CRC verification), submits every fully received
+// tensor section to its shared sched.Pool and immediately resumes reading.
+// Decode therefore overlaps receive on every connection, while total
+// decode parallelism across all connections stays at the ingestor's
+// budget. Backpressure is layered:
 //
 //   - Config.MaxConns bounds concurrent connections (the accept loop holds
 //     a slot before accepting), so peak memory is O(MaxConns × frame)
@@ -57,10 +58,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/wire"
 )
 
 const (
@@ -91,36 +90,9 @@ const (
 	ackShed     = 2
 )
 
-// Update is one decoded client update delivered to the handler.
-type Update struct {
-	// Client is the ID the uploader sent in its connection prelude.
-	Client uint32
-	// Remote is the uploading connection's remote address — the attribute
-	// that lets handler logs and trace events correlate an update with its
-	// connection.
-	Remote string
-	// State is the decoded state dict; the handler takes ownership.
-	State *tensor.StateDict
-	// Weight is the update's aggregation weight: 1 for FLS1/FLS2 uploads,
-	// the sender-declared population weight for FLS3 (an edge forwarding
-	// the fused mean of n clients sends weight n). Handlers fold
-	// weight-scaled sums and divide by the weight total.
-	Weight float64
-	// WireBytes counts the bytes this update occupied on the wire: its
-	// share of the connection prelude, the clientID, and the full wire
-	// stream (framing plus payload), computed from the de-framer's logical
-	// counts so it stays exact on multi-update connections.
-	WireBytes int64
-	// Stats carries the streaming decode's timing, including ReadWait and
-	// DecodeWork for overlap accounting.
-	Stats core.DecompressStats
-}
-
 // Config tunes a Server.
 type Config struct {
-	// Parallel is the decode budget shared across every connection
-	// (0 selects GOMAXPROCS) — the same one-budget discipline as
-	// core.DecompressAll, now fed by sockets.
+	// Deprecated: ignored; decode parallelism belongs to the StreamIngestor (agg.Config.Pool).
 	Parallel int
 	// MaxConns bounds concurrently served connections (0 selects
 	// 4×GOMAXPROCS). The accept loop blocks when the bound is reached.
@@ -138,16 +110,13 @@ type Config struct {
 	// RetryAfterHint is the backoff the shed ack suggests to clients
 	// (0 selects 100 ms; capped at ~65 s by the wire field).
 	RetryAfterHint time.Duration
-	// Handler receives each successfully decoded update. It may be called
-	// concurrently from different connections; an error rejects the update
-	// (the client sees a non-zero ack) without stopping the server.
-	// Exactly one of Handler and Ingestor is required.
-	Handler func(Update) error
-	// Ingestor, when non-nil, replaces the whole-stream decode + Handler
-	// pair: the server hands it each update's framed byte stream directly,
-	// so a section-routing implementation (internal/agg.Sharded) can
-	// dispatch wire frames to aggregator shards without materializing the
-	// decoded state dict on the connection goroutine. Acks, metrics, and
+	// Ingestor takes in every update (required): the server hands it each
+	// update's framed byte stream directly, so a section-routing
+	// implementation (internal/agg.Sharded) can dispatch wire frames to
+	// aggregator shards without materializing the decoded state dict on
+	// the connection goroutine. It is called concurrently from different
+	// connections; an error rejects the update (the client sees a
+	// non-zero ack) without stopping the server. Acks, metrics, and
 	// timeout handling stay with the server.
 	Ingestor StreamIngestor
 	// IdleTimeout bounds how long a connection may sit without delivering
@@ -178,16 +147,29 @@ type Config struct {
 }
 
 // StreamIngestor consumes one wire-framed update directly from the
-// connection — the section-routed alternative to the built-in
-// decode-then-Handler path. Implementations must read the update's wire
-// stream from r through its trailer (the server acks only on a nil
-// return), fold it, and report the wire byte count plus decode stats for
-// the server's accounting. Calls arrive concurrently from different
-// connections. An error rejects the update and drops the connection;
-// corruption must surface as core.ErrCorrupt-wrapped errors and reference
-// mismatches as core.ErrReference, exactly like the built-in path.
+// connection — the server's only ingest path. Implementations must read
+// the update's wire stream from r through its trailer (the server acks
+// only on a nil return), fold it, and report the wire byte count plus
+// decode stats for the server's accounting. Calls arrive concurrently from
+// different connections; ctx carries the update's deadline and the
+// connection's RemoteAddr. An error rejects the update and drops the
+// connection; corruption must surface as core.ErrCorrupt-wrapped errors
+// and reference mismatches as core.ErrReference.
 type StreamIngestor interface {
 	IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error)
+}
+
+// remoteKey is the context key under which a Server records the serving
+// connection's remote address.
+type remoteKey struct{}
+
+// RemoteAddr returns the remote address of the connection whose update ctx
+// belongs to ("" for a context that did not come from a Server) — the
+// attribute that lets ingestor logs correlate an update with its
+// connection.
+func RemoteAddr(ctx context.Context) string {
+	addr, _ := ctx.Value(remoteKey{}).(string)
+	return addr
 }
 
 // defaultIdleTimeout is Config.IdleTimeout's zero-value default.
@@ -200,9 +182,9 @@ const defaultRetryAfterHint = 100 * time.Millisecond
 // Server.Snapshot (atomics-backed, safe to call while connections are
 // live).
 type Stats struct {
-	// Updates counts successfully decoded, handled updates.
+	// Updates counts successfully ingested updates.
 	Updates int
-	// Rejected counts connections that failed protocol, decode, or handler.
+	// Rejected counts connections that failed protocol or ingest.
 	Rejected int
 	// Shed counts connections refused by admission control (QueueDepth
 	// exceeded) — load the server declined, not failures.
@@ -211,7 +193,7 @@ type Stats struct {
 	WireBytes int64
 	// ReadWait, DecodeWork, and Wall sum the corresponding per-update
 	// decode timings (Wall is summed per-update wall clock — clientID
-	// through handler return — not server uptime).
+	// through ingest return — not server uptime).
 	ReadWait   time.Duration
 	DecodeWork time.Duration
 	Wall       time.Duration
@@ -241,10 +223,9 @@ func (s Stats) OverlapRatio() float64 {
 
 // Server is a streaming FedSZ aggregation server.
 type Server struct {
-	cfg  Config
-	ln   net.Listener
-	pool *sched.Pool
-	sem  chan struct{}
+	cfg Config
+	ln  net.Listener
+	sem chan struct{}
 	// queue is the bounded admission queue (QueueDepth > 0 only): the
 	// accept loop enqueues, the dispatch loop waits for a serving slot,
 	// and an arrival finding the queue full is shed.
@@ -278,8 +259,8 @@ func Listen(addr string, cfg Config) (*Server, error) {
 
 // Serve starts a server on an existing listener and takes ownership of it.
 func Serve(ln net.Listener, cfg Config) *Server {
-	if (cfg.Handler == nil) == (cfg.Ingestor == nil) {
-		panic("flserve: exactly one of Config.Handler and Config.Ingestor is required")
+	if cfg.Ingestor == nil {
+		panic("flserve: Config.Ingestor is required")
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 4 * runtime.GOMAXPROCS(0)
@@ -294,10 +275,9 @@ func Serve(ln net.Listener, cfg Config) *Server {
 		cfg.RetryAfterHint = defaultRetryAfterHint
 	}
 	s := &Server{
-		cfg:  cfg,
-		ln:   ln,
-		pool: sched.NewPool(cfg.Parallel),
-		sem:  make(chan struct{}, cfg.MaxConns),
+		cfg: cfg,
+		ln:  ln,
+		sem: make(chan struct{}, cfg.MaxConns),
 	}
 	metrics().maxConns.Set(float64(cfg.MaxConns))
 	s.wg.Add(1)
@@ -333,9 +313,6 @@ func (s *Server) Snapshot() Stats {
 		BytesRecycled: s.bytesRecycled.Load(),
 	}
 }
-
-// Stats returns a snapshot of the ingest counters (alias of Snapshot).
-func (s *Server) Stats() Stats { return s.Snapshot() }
 
 // Close stops accepting, waits for in-flight connections to finish, and
 // returns the listener's close error, if any.
@@ -506,13 +483,14 @@ func (c *connReader) Read(p []byte) (int, error) {
 }
 
 // handleConn serves one connection's update loop: magic once, then any
-// number of [clientID, wire stream] updates, each acked after its decode
-// and handler fold. The connection ends on a clean EOF at an update
+// number of [clientID, wire stream] updates, each acked after the
+// Ingestor folded it. The connection ends on a clean EOF at an update
 // boundary, on any failed update (acked, then dropped), or on idle/upload
 // timeout.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	remote := conn.RemoteAddr().String()
+	connCtx := context.WithValue(context.Background(), remoteKey{}, remote)
 	m := metrics()
 	updates, rejected := 0, 0
 	span := s.cfg.Tracer.Span("conn", telemetry.A("remote", remote))
@@ -614,39 +592,19 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		start := time.Now()
 
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
+		ctx, cancel := connCtx, context.CancelFunc(func() {})
 		if s.cfg.UploadTimeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.UploadTimeout)
+			ctx, cancel = context.WithTimeout(connCtx, s.cfg.UploadTimeout)
 			cr.deadline = time.Now().Add(s.cfg.UploadTimeout)
 		}
-		var u *Update
-		var err error
-		if s.cfg.Ingestor != nil {
-			var wireBytes int64
-			var dstats core.DecompressStats
-			wireBytes, dstats, err = s.cfg.Ingestor.IngestStream(ctx, client, weight, dopts, br)
-			if err == nil {
-				u = &Update{Client: client, Weight: weight, WireBytes: wireBytes, Stats: dstats}
-			}
-		} else {
-			u, err = s.ingestUpdate(ctx, br, client, dopts)
-		}
+		wireBytes, dstats, err := s.cfg.Ingestor.IngestStream(ctx, client, weight, dopts, br)
 		cancel()
 		cr.deadline = time.Time{}
-
-		if err == nil {
-			u.Remote = remote
-			u.Weight = weight
-			u.WireBytes += preludeLen
-			if first {
-				u.WireBytes += preludeBytes
-			}
-			if s.cfg.Handler != nil {
-				err = s.cfg.Handler(*u)
-			}
+		wireBytes += preludeLen
+		if first {
+			wireBytes += preludeBytes
+			first = false
 		}
-		first = false
 		if err != nil {
 			rejected++
 			s.rejected.Add(1)
@@ -655,24 +613,24 @@ func (s *Server) handleConn(conn net.Conn) {
 			wall := time.Since(start)
 			updates++
 			s.updates.Add(1)
-			s.wireBytes.Add(u.WireBytes)
-			s.readWaitNS.Add(int64(u.Stats.ReadWait))
-			s.decodeWorkNS.Add(int64(u.Stats.DecodeWork))
+			s.wireBytes.Add(wireBytes)
+			s.readWaitNS.Add(int64(dstats.ReadWait))
+			s.decodeWorkNS.Add(int64(dstats.DecodeWork))
 			s.wallNS.Add(int64(wall))
-			s.bytesRecycled.Add(u.Stats.BytesRecycled)
+			s.bytesRecycled.Add(dstats.BytesRecycled)
 			m.updates.Inc()
-			m.wireBytes.Add(uint64(u.WireBytes))
-			m.wireHist.Observe(float64(u.WireBytes))
-			m.decodeHist.Observe(u.Stats.DecompressTime.Seconds())
-			m.overlapHist.Observe(u.Stats.OverlapRatio())
+			m.wireBytes.Add(uint64(wireBytes))
+			m.wireHist.Observe(float64(wireBytes))
+			m.decodeHist.Observe(dstats.DecompressTime.Seconds())
+			m.overlapHist.Observe(dstats.OverlapRatio())
 			s.cfg.Tracer.Event("update",
 				telemetry.A("client", client),
 				telemetry.A("remote", remote),
-				telemetry.A("wire_bytes", u.WireBytes),
-				telemetry.A("decode_us", u.Stats.DecompressTime.Microseconds()),
-				telemetry.A("read_wait_us", u.Stats.ReadWait.Microseconds()),
+				telemetry.A("wire_bytes", wireBytes),
+				telemetry.A("decode_us", dstats.DecompressTime.Microseconds()),
+				telemetry.A("read_wait_us", dstats.ReadWait.Microseconds()),
 				telemetry.A("wall_us", wall.Microseconds()),
-				telemetry.A("overlap", u.Stats.OverlapRatio()),
+				telemetry.A("overlap", dstats.OverlapRatio()),
 			)
 		}
 		writeAck(conn, err)
@@ -689,34 +647,6 @@ func (s *Server) rejectConn(conn net.Conn, err error) {
 	writeAck(conn, err)
 }
 
-// ingestUpdate reads one update off the connection: a wire-framed FedSZ
-// stream decoded incrementally on the shared pool under the update's
-// context, then trailer verification. The returned WireBytes covers the
-// wire stream only (the caller adds the per-update prelude); it is
-// computed from the de-framer's logical counts, which stay exact under
-// the multi-update protocol where bufio read-ahead may already hold the
-// next update's bytes.
-func (s *Server) ingestUpdate(ctx context.Context, br *bufio.Reader, client uint32, dopts core.DecodeOptions) (*Update, error) {
-	wr := wire.NewReader(br)
-	defer wr.Close()
-	sd, dstats, err := core.DecompressFromOpts(ctx, s.pool, wr, dopts)
-	if err != nil {
-		return nil, err
-	}
-	// The decoder consumes exactly the logical stream; the wire trailer
-	// (frame counts + whole-stream CRC) may still be pending. Drain to EOF
-	// so an update is only ever acked after its trailer verified.
-	if _, err := io.Copy(io.Discard, wr); err != nil {
-		return nil, err
-	}
-	return &Update{
-		Client:    client,
-		State:     sd,
-		WireBytes: wr.WireBytes(),
-		Stats:     *dstats,
-	}, nil
-}
-
 func writeAck(conn net.Conn, err error) {
 	if err == nil {
 		conn.Write([]byte{ackAccepted}) //nolint:errcheck — client failure is its problem
@@ -731,129 +661,4 @@ func writeAck(conn net.Conn, err error) {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
 	buf = append(buf, msg...)
 	conn.Write(buf) //nolint:errcheck
-}
-
-// Aggregator is a Handler target that folds updates incrementally into a
-// FedAvg sum — each update is added and released as it completes, so peak
-// memory is one accumulator plus in-flight decodes, independent of client
-// count.
-//
-// Client uploads are at-least-once under the retry policy (an ack lost
-// after the fold makes the retry a duplicate), so handlers must tolerate
-// or deduplicate; set DedupByClient when each client contributes exactly
-// one update per Aggregator lifetime.
-type Aggregator struct {
-	// DedupByClient makes Add fold only the first update per client ID and
-	// silently accept (ack, drop) any later duplicate — the right setting
-	// for a single-round aggregation where a retried upload must not
-	// double-weight its client. Leave false when one client legitimately
-	// contributes multiple updates (e.g. a long-lived server spanning
-	// rounds). Set before the first Add.
-	DedupByClient bool
-
-	mu   sync.Mutex
-	sum  *tensor.StateDict
-	n    int
-	wsum float64
-	seen map[uint32]bool
-}
-
-// Add folds one update into the accumulator; it is the Handler for an
-// aggregating server. The first update defines the expected structure.
-// A weighted update (FLS3, Update.Weight ≠ 1) contributes weight-scaled:
-// the accumulator becomes Σ wᵢ·updateᵢ and Mean divides by Σ wᵢ, so an
-// edge forwarding the fused mean of n clients at weight n contributes
-// exactly as its n clients would have. All-weight-1 traffic folds
-// bit-identically to the historical unweighted path.
-func (a *Aggregator) Add(u Update) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.DedupByClient {
-		if a.seen == nil {
-			a.seen = make(map[uint32]bool)
-		}
-		if a.seen[u.Client] {
-			// Retried duplicate: ack success, fold nothing, recycle the
-			// duplicate decode's buffers.
-			core.Release(u.State)
-			return nil
-		}
-		a.seen[u.Client] = true
-	}
-	w := u.Weight
-	if w == 0 {
-		w = 1
-	}
-	if a.sum == nil {
-		a.sum = u.State
-		if w != 1 {
-			a.sum.Scale(float32(w))
-		}
-		a.n = 1
-		a.wsum = w
-		return nil
-	}
-	if err := a.sum.AddScaled(u.State, float32(w)); err != nil {
-		return fmt.Errorf("flserve: aggregate client %d: %w", u.Client, err)
-	}
-	a.n++
-	a.wsum += w
-	// The update is folded and dead; its pool-backed tensor buffers feed
-	// the next in-flight decode — the server's steady-state zero-alloc
-	// loop.
-	core.Release(u.State)
-	return nil
-}
-
-// Count returns the number of folded updates.
-func (a *Aggregator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
-// WeightSum returns the total aggregation weight folded so far — equal to
-// Count for unweighted traffic, the represented population size when
-// edges forward weighted fused updates.
-func (a *Aggregator) WeightSum() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.wsum
-}
-
-// Mean returns the FedAvg mean of the folded updates (a copy over pooled
-// tensor buffers) and their count; nil and 0 before the first update.
-// Recycle the returned dict via core.Release once it has been consumed.
-func (a *Aggregator) Mean() (*tensor.StateDict, int) {
-	sd, n, _ := a.MeanInto(nil) // nil dst cannot mismatch
-	return sd, n
-}
-
-// MeanInto is Mean writing into dst's storage (the steady-state path for a
-// server computing a mean every round). A non-nil dst must be structurally
-// compatible with the accumulator; a mismatch — the model changed shape
-// while the server kept its old scratch — returns an explicit error rather
-// than silently reallocating over a dict the caller believes it is reusing.
-// dst == nil builds the copy over pooled tensor buffers exactly as Mean
-// does.
-func (a *Aggregator) MeanInto(dst *tensor.StateDict) (*tensor.StateDict, int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sum == nil {
-		return nil, 0, nil
-	}
-	if dst != nil {
-		if err := dst.CheckCompatible(a.sum); err != nil {
-			return nil, a.n, fmt.Errorf("flserve: MeanInto destination incompatible with accumulator: %w", err)
-		}
-	}
-	out := a.sum.CloneInto(dst)
-	if a.wsum == float64(a.n) {
-		// Unweighted traffic: keep the historical float32 divide so the
-		// mean stays bit-identical to pre-weighting servers.
-		out.Scale(1 / float32(a.n))
-	} else {
-		out.Scale(float32(1 / a.wsum))
-	}
-	return out, a.n, nil
 }

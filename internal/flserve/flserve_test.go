@@ -3,6 +3,7 @@ package flserve
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/ebcl"
 	"repro/internal/eblctest"
 	"repro/internal/netsim"
+	"repro/internal/sched"
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // clientUpdate synthesizes one client's model update: two lossy weight
@@ -49,19 +52,53 @@ func compressUpdates(t testing.TB, n int) ([][]byte, []*tensor.StateDict) {
 	return streams, expected
 }
 
-// collector is a Handler that keeps every decoded update by client ID.
-type collector struct {
-	mu      sync.Mutex
-	updates map[uint32]Update
+// received is one update as the collector decoded it.
+type received struct {
+	State *tensor.StateDict
+	// WireBytes is the update's wire stream length as the ingestor
+	// reported it (framing plus payload; the connection and update
+	// preludes are the server's share).
+	WireBytes int64
+	Stats     core.DecompressStats
 }
 
-func newCollector() *collector { return &collector{updates: make(map[uint32]Update)} }
+// collector is a test StreamIngestor that decodes each whole wire stream
+// on a 2-way pool, verifies its trailer, and keeps the result by client
+// ID (a later upload under the same ID replaces the earlier one).
+type collector struct {
+	pool    *sched.Pool
+	mu      sync.Mutex
+	updates map[uint32]received
+}
 
-func (c *collector) handle(u Update) error {
+func newCollector() *collector {
+	return &collector{pool: sched.NewPool(2), updates: make(map[uint32]received)}
+}
+
+func (c *collector) IngestStream(ctx context.Context, client uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
+	wr := wire.NewReader(r)
+	defer wr.Close()
+	sd, st, err := core.DecompressFromOpts(ctx, c.pool, wr, dopts)
+	if err != nil {
+		return 0, core.DecompressStats{}, err
+	}
+	if _, err := io.Copy(io.Discard, wr); err != nil {
+		return 0, core.DecompressStats{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.updates[u.Client] = u
-	return nil
+	if old, ok := c.updates[client]; ok {
+		core.Release(old.State)
+	}
+	c.updates[client] = received{State: sd, WireBytes: wr.WireBytes(), Stats: *st}
+	return wr.WireBytes(), *st, nil
+}
+
+// count returns how many distinct client IDs delivered an update.
+func (c *collector) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.updates)
 }
 
 // uploadAll fires n concurrent uploads and fails the test on any error.
@@ -92,7 +129,7 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 	const n = 32
 	streams, expected := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +156,7 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 			t.Fatalf("client %d: decode stats missing: %+v", i, u.Stats)
 		}
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != n || st.Rejected != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -128,48 +165,13 @@ func TestLoopbackIngest32Concurrent(t *testing.T) {
 	}
 }
 
-// TestAggregatorMatchesManualFedAvg: the incremental fold must equal the
-// all-at-once mean of the decoded updates (within float summation noise —
-// arrival order is nondeterministic).
-func TestAggregatorMatchesManualFedAvg(t *testing.T) {
-	const n = 8
-	streams, expected := compressUpdates(t, n)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 4, Handler: agg.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uploadAll(t, srv.Addr().String(), streams, netsim.Link{})
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mean, count := agg.Mean()
-	if count != n {
-		t.Fatalf("aggregated %d updates, want %d", count, n)
-	}
-	want := expected[0].Zero()
-	for _, sd := range expected {
-		if err := want.AddScaled(sd, 1/float32(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := mean.MaxAbsDiff(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 1e-5 {
-		t.Fatalf("incremental mean differs from reference by %g", d)
-	}
-}
-
 // TestMaxConnsBackpressure: more clients than connection slots must all
 // eventually succeed (the accept loop blocks rather than drops).
 func TestMaxConnsBackpressure(t *testing.T) {
 	const n = 12
 	streams, _ := compressUpdates(t, n)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Parallel: 2, Handler: agg.Add})
+	col := newCollector()
+	srv, err := Listen("127.0.0.1:0", Config{MaxConns: 2, Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +179,8 @@ func TestMaxConnsBackpressure(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := agg.Count(); got != n {
-		t.Fatalf("aggregated %d of %d updates", got, n)
+	if got := col.count(); got != n {
+		t.Fatalf("ingested %d of %d updates", got, n)
 	}
 }
 
@@ -187,7 +189,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 	if err := Upload(addr, 1, streams[1]); err != nil {
 		t.Fatalf("server did not survive corrupt upload: %v", err)
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != 1 || st.Rejected != 1 {
 		t.Fatalf("stats %+v, want 1 update / 1 rejected", st)
 	}
@@ -216,7 +218,7 @@ func TestCorruptUploadRejectedServerSurvives(t *testing.T) {
 func TestThrottledUploadRecordsReadWait(t *testing.T) {
 	streams, _ := compressUpdates(t, 2)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +240,11 @@ func TestThrottledUploadRecordsReadWait(t *testing.T) {
 // after the idle timeout so it cannot pin a MaxConns slot forever.
 func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
+	col := newCollector()
 	srv, err := Listen("127.0.0.1:0", Config{
 		MaxConns:    1,
 		IdleTimeout: 100 * time.Millisecond,
-		Handler:     agg.Add,
+		Ingestor:    col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,15 +274,14 @@ func TestIdleClientDroppedFreesSlot(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stalled connection pinned the slot; upload never completed")
 	}
-	if got := agg.Count(); got != 1 {
-		t.Fatalf("aggregated %d updates, want 1", got)
+	if got := col.count(); got != 1 {
+		t.Fatalf("ingested %d updates, want 1", got)
 	}
 }
 
 // TestGarbagePreludeRejected: junk before the protocol magic is refused.
 func TestGarbagePreludeRejected(t *testing.T) {
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +320,7 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -341,6 +341,6 @@ func BenchmarkLoopbackIngest(b *testing.B) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	st := srv.Stats()
+	st := srv.Snapshot()
 	b.ReportMetric(st.OverlapRatio(), "overlap")
 }

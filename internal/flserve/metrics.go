@@ -53,15 +53,15 @@ var metrics = sync.OnceValue(func() *serverMetrics {
 		queueDepth: r.Gauge("fedsz_server_queue_depth",
 			"Connections waiting in the bounded ingest queue for a serving slot."),
 		updates: r.Counter("fedsz_server_updates_total",
-			"Updates decoded, verified, and folded by the handler."),
+			"Updates decoded, verified, and folded by the ingestor."),
 		updatesRejected: r.Counter("fedsz_server_updates_rejected_total",
-			"Updates rejected by decode, verification, or the handler."),
+			"Updates rejected by decode, verification, or the ingestor."),
 		wireBytes: r.Counter("fedsz_server_wire_bytes_total",
 			"Raw socket bytes across accepted updates."),
 		wireHist: r.Histogram("fedsz_server_update_wire_bytes",
 			"Per-update wire size (framing included).", telemetry.ByteBuckets),
 		decodeHist: r.Histogram("fedsz_server_decode_seconds",
-			"Per-update decode wall time, clientID through handler hand-off.", telemetry.DurationBuckets),
+			"Per-update decode wall time, clientID through ingest return.", telemetry.DurationBuckets),
 		overlapHist: r.Histogram("fedsz_server_overlap_ratio",
 			"Per-update fraction of decode work hidden behind receive (0 = strictly sequential, 1 = fully overlapped).",
 			telemetry.RatioBuckets),

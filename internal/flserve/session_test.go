@@ -22,7 +22,7 @@ func TestSessionMultiUpdate(t *testing.T) {
 	const n = 6
 	streams, expected := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSessionMultiUpdate(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
+	st := srv.Snapshot()
 	if st.Updates != n || st.Rejected != 0 {
 		t.Fatalf("stats %+v, want %d clean updates over one connection", st, n)
 	}
@@ -77,7 +77,7 @@ func TestUploadStateStreamsEncode(t *testing.T) {
 	}
 
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Parallel: 2, Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestUploadStateStreamsEncode(t *testing.T) {
 // dropped, MaxConns slot released.
 func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
+	col := newCollector()
 	srv, err := Listen("127.0.0.1:0", Config{
 		MaxConns:      1,
 		UploadTimeout: 150 * time.Millisecond,
 		IdleTimeout:   -1, // isolate the upload deadline from the idle path
-		Handler:       agg.Add,
+		Ingestor:      col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +141,10 @@ func TestUploadTimeoutDropsStalledUpdate(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stalled update outlived its UploadTimeout and pinned the slot")
 	}
-	if got := agg.Count(); got != 1 {
-		t.Fatalf("aggregated %d updates, want 1", got)
+	if got := col.count(); got != 1 {
+		t.Fatalf("ingested %d updates, want 1", got)
 	}
-	if st := srv.Stats(); st.Rejected != 1 {
+	if st := srv.Snapshot(); st.Rejected != 1 {
 		t.Fatalf("stats %+v, want the stalled update rejected", st)
 	}
 }
@@ -163,7 +163,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	var agg Aggregator
+	col := newCollector()
 	started := make(chan struct{})
 	go func() {
 		time.Sleep(200 * time.Millisecond)
@@ -172,7 +172,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 			close(started)
 			return
 		}
-		Serve(ln2, Config{Handler: agg.Add})
+		Serve(ln2, Config{Ingestor: col})
 		close(started)
 	}()
 
@@ -181,8 +181,8 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 		t.Fatalf("upload with retries: %v", err)
 	}
 	<-started
-	if agg.Count() != 1 {
-		t.Fatalf("aggregated %d updates, want 1", agg.Count())
+	if got := col.count(); got != 1 {
+		t.Fatalf("ingested %d updates, want 1", got)
 	}
 
 	// Rejections must not retry: a corrupt stream against the live server
@@ -206,8 +206,7 @@ func TestClientRetriesTransportFailure(t *testing.T) {
 // context.Canceled, not a masked I/O error.
 func TestUploadCancelledContext(t *testing.T) {
 	streams, _ := compressUpdates(t, 1)
-	var agg Aggregator
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,40 +219,6 @@ func TestUploadCancelledContext(t *testing.T) {
 	}
 }
 
-// TestAggregatorDedupByClient: with the at-least-once retry policy a
-// duplicate upload (ack lost after fold, client retried) must not
-// double-weight its client when dedup is on.
-func TestAggregatorDedupByClient(t *testing.T) {
-	streams, expected := compressUpdates(t, 2)
-	agg := Aggregator{DedupByClient: true}
-	srv, err := Listen("127.0.0.1:0", Config{Handler: agg.Add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, id := range []uint32{0, 1, 0} { // client 0 retried
-		if err := (&Client{Addr: srv.Addr().String()}).Upload(ctx, id, streams[id]); err != nil {
-			t.Fatalf("upload %d: %v", id, err)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mean, n := agg.Mean()
-	if n != 2 {
-		t.Fatalf("folded %d updates, want 2 (duplicate dropped)", n)
-	}
-	want := expected[0].Zero()
-	for _, sd := range expected {
-		if err := want.AddScaled(sd, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d, err := mean.MaxAbsDiff(want); err != nil || d > 1e-6 {
-		t.Fatalf("dedup mean off by %v (err=%v)", d, err)
-	}
-}
-
 // TestWireBytesExactOnSharedConnection: per-update WireBytes summed over a
 // multi-update session must equal the bytes the client actually sent —
 // the de-framer's logical accounting, immune to bufio read-ahead.
@@ -261,7 +226,7 @@ func TestWireBytesExactOnSharedConnection(t *testing.T) {
 	const n = 4
 	streams, _ := compressUpdates(t, n)
 	col := newCollector()
-	srv, err := Listen("127.0.0.1:0", Config{Handler: col.handle})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +251,17 @@ func TestWireBytesExactOnSharedConnection(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got int64
-	for _, u := range col.updates {
-		got += u.WireBytes
+	if got := srv.Snapshot().WireBytes; got != sent {
+		t.Fatalf("server counted %d wire bytes, client sent %d", got, sent)
 	}
-	if got != sent {
-		t.Fatalf("summed WireBytes %d, client sent %d", got, sent)
+	// The ingestor's per-update counts are the wire streams alone: the
+	// server adds each clientID and, once, the connection magic.
+	var streamBytes int64
+	for _, u := range col.updates {
+		streamBytes += u.WireBytes
+	}
+	if want := sent - 4 - 4*n; streamBytes != want {
+		t.Fatalf("summed ingestor WireBytes %d, client sent %d stream bytes", streamBytes, want)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func TestSnapshotScrapeUnderLoad(t *testing.T) {
 	const n = 16
 	streams, _ := compressUpdates(t, n)
-	srv, err := Listen("127.0.0.1:0", Config{Handler: func(Update) error { return nil }})
+	srv, err := Listen("127.0.0.1:0", Config{Ingestor: newCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
