@@ -298,14 +298,14 @@ func (c *Codec) Decompress(ctx context.Context, stream []byte) (*StateDict, *Dec
 // mirror of CompressTo. Cancelling ctx aborts the decode promptly and
 // returns ctx.Err().
 func (c *Codec) DecompressFrom(ctx context.Context, r io.Reader) (*StateDict, *DecompressStats, error) {
-	return core.DecompressFromWith(ctx, c.pool, r)
+	return core.DecompressFromOpts(ctx, c.pool, r, core.DecodeOptions{})
 }
 
 // DecompressAll reverses CompressAll — the aggregation-server hot path:
 // all streams, and all tensors within them, decode under the codec's one
 // parallelism budget. Output i is bit-identical to Decompress(streams[i]).
 func (c *Codec) DecompressAll(ctx context.Context, streams [][]byte) ([]*StateDict, []*DecompressStats, error) {
-	return core.DecompressAllWith(ctx, c.pool, streams)
+	return core.DecompressAllOpts(ctx, c.pool, streams, core.DecodeOptions{})
 }
 
 // defaultCodec backs the package-level free functions: the paper's

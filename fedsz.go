@@ -113,7 +113,7 @@ type Stats = core.Stats
 
 // DecompressStats reports what one Decompress call did, including the
 // decode/receive overlap accounting of a streaming DecompressFrom and the
-// buffer-pool hit counters.
+// buffer capacity it returned to the shared pools.
 type DecompressStats = core.DecompressStats
 
 // Params selects the error-control mode for the lossy compressor.
@@ -152,7 +152,7 @@ func Decompress(stream []byte) (*StateDict, error) {
 // next is still being read, so on a socket the decode overlaps the
 // receive. The result is bit-identical to Decompress of the same bytes.
 func DecompressFrom(r io.Reader) (*StateDict, error) {
-	sd, _, err := core.DecompressFromWith(context.Background(), Default().pool, r)
+	sd, _, err := core.DecompressFromOpts(context.Background(), Default().pool, r, core.DecodeOptions{})
 	return sd, err
 }
 

@@ -169,8 +169,6 @@ func (t *readTracker) Read(p []byte) (int, error) {
 // timings for the server's overlap accounting.
 func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
 	start := time.Now()
-	poolHits0, poolMisses0 := sched.BytePoolCounters()
-	floatHits0, floatMisses0 := sched.FloatPoolCounters()
 	recycled0 := sched.RecycledBytes()
 	if weight == 0 {
 		weight = 1
@@ -199,27 +197,23 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: first frame kind 0x%02x, want header", core.ErrCorrupt, kind)
 	}
 	hdr, err := core.ParseHeader(payload)
+	sched.PutBytes(payload) // hdr owns its fields
 	if err != nil {
-		sched.PutBytes(payload)
 		return 0, core.DecompressStats{}, err
 	}
-	dec, err := core.NewSectionDecoder(hdr)
+	dec, err := core.NewSectionDecoder(hdr, dopts)
 	if err != nil {
-		sched.PutBytes(payload)
 		return 0, core.DecompressStats{}, err
 	}
-	flags := append([]byte(nil), hdr.Flags...)
-	refEpoch, lossyCount := hdr.RefEpoch, hdr.LossyCount
-	sched.PutBytes(payload)
 
 	// structure, when already adopted, validates each section at routing
 	// time; a first update is validated wholesale at commit instead.
 	structure := s.currentStructure()
-	if structure != nil && !bytesEqual(structure.flags, flags) {
+	if structure != nil && !bytesEqual(structure.flags, hdr.Flags) {
 		return 0, core.DecompressStats{}, fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
 	}
 
-	entries := make([]staged, lossyCount)
+	entries := make([]staged, hdr.LossyCount)
 	var decodeWork atomicDuration
 	var metaDict *tensor.StateDict
 	var metaErr error
@@ -241,14 +235,14 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		return 0, core.DecompressStats{}, err
 	}
 
-	for i := 0; i < lossyCount; i++ {
+	for i := 0; i < hdr.LossyCount; i++ {
 		if err := ctx.Err(); err != nil {
 			return abort(err)
 		}
 		kind, payload, err := sc.Next()
 		if err != nil {
 			if err == io.EOF {
-				err = fmt.Errorf("%w: agg: stream ended after %d of %d tensor sections", core.ErrCorrupt, i, lossyCount)
+				err = fmt.Errorf("%w: agg: stream ended after %d of %d tensor sections", core.ErrCorrupt, i, hdr.LossyCount)
 			}
 			return abort(err)
 		}
@@ -273,23 +267,13 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		// Resolve the delta reference on the routing goroutine so shard
 		// decode tasks carry plain slices, and reference problems surface
 		// as ErrReference before any decode work is spent.
-		var ref []float32
+		ref, err := dec.Baseline(pt)
+		if err != nil {
+			sched.PutBytes(payload)
+			return abort(err)
+		}
 		if pt.Delta {
 			nDelta++
-			if dopts.Reference == nil {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: residual section %q but no reference supplied", core.ErrReference, pt.Name))
-			}
-			if dopts.RefEpoch != refEpoch {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", core.ErrReference, refEpoch, dopts.RefEpoch))
-			}
-			rt := dopts.Reference.Get(pt.Name)
-			if rt == nil || rt.NumElems() != pt.Elems {
-				sched.PutBytes(payload)
-				return abort(fmt.Errorf("%w: reference lacks matching tensor %q", core.ErrReference, pt.Name))
-			}
-			ref = rt.Data
 		}
 		m.sectionsRouted(e.meta.shard).Inc()
 		// Decode on the pool: when the budget is saturated the routing
@@ -359,25 +343,19 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		}
 	}
 
-	if err := s.commit(client, weight, flags, entries, metaDict); err != nil {
+	if err := s.commit(client, weight, hdr.Flags, entries, metaDict); err != nil {
 		return abort(err)
 	}
 	m.updates.Inc()
 
-	poolHits1, poolMisses1 := sched.BytePoolCounters()
-	floatHits1, floatMisses1 := sched.FloatPoolCounters()
 	elapsed := time.Since(start)
 	dec.ObserveDecode(elapsed)
 	return sc.WireBytes(), core.DecompressStats{
-		DecompressTime:  elapsed,
-		ReadWait:        tr.blocked,
-		DecodeWork:      decodeWork.load(),
-		PoolHits:        poolHits1 - poolHits0,
-		PoolMisses:      poolMisses1 - poolMisses0,
-		FloatPoolHits:   floatHits1 - floatHits0,
-		FloatPoolMisses: floatMisses1 - floatMisses0,
-		BytesRecycled:   sched.RecycledBytes() - recycled0,
-		DeltaTensors:    nDelta,
+		DecompressTime: elapsed,
+		ReadWait:       tr.blocked,
+		DecodeWork:     decodeWork.load(),
+		BytesRecycled:  sched.RecycledBytes() - recycled0,
+		DeltaTensors:   nDelta,
 	}, nil
 }
 

@@ -278,7 +278,7 @@ func TestChunkedSectionRouting(t *testing.T) {
 	if hdr.Version != streamVersionV4 || !hdr.Chunked() {
 		t.Fatalf("parsed version %d (chunked=%v), want v4", hdr.Version, hdr.Chunked())
 	}
-	dec, err := NewSectionDecoder(hdr)
+	dec, err := NewSectionDecoder(hdr, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

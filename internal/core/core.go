@@ -273,17 +273,6 @@ type DecompressStats struct {
 	// DecodeWork is the summed per-blob decode time across all tensors and
 	// the lossless partition (it exceeds wall clock when decode fans out).
 	DecodeWork time.Duration
-	// PoolHits and PoolMisses are the sched byte-pool hit/miss deltas
-	// observed over this decode — the size-classed pool's effectiveness
-	// under this call's buffer traffic. The counters are process-wide, so
-	// concurrent decodes attribute shared traffic approximately.
-	PoolHits   uint64
-	PoolMisses uint64
-	// FloatPoolHits and FloatPoolMisses are the same deltas for the float32
-	// pool the reconstructed tensors decode into — the decode-output side
-	// of the zero-copy contract.
-	FloatPoolHits   uint64
-	FloatPoolMisses uint64
 	// BytesRecycled is the total buffer capacity this decode returned to
 	// the sched pools (blob scratch, entropy-stage tables, lossless-stage
 	// payloads) instead of dropping to the garbage collector.
@@ -343,14 +332,14 @@ func Decompress(stream []byte) (*tensor.StateDict, *DecompressStats, error) {
 // the batch server's hot path pays no receive buffering. Cancelling ctx
 // stops the decode at the next section boundary and returns ctx.Err().
 func DecompressWith(ctx context.Context, pool *sched.Pool, stream []byte) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, &byteSource{data: stream}, DecodeOptions{})
+	return decompressSource(ctx, pool, &streamSource{data: stream}, DecodeOptions{})
 }
 
 // DecompressOpts is DecompressWith with reference-aware decoding: v3 delta
 // streams reconstruct residual sections against o.Reference (see
 // DecodeOptions). v1/v2 streams ignore o entirely.
 func DecompressOpts(ctx context.Context, pool *sched.Pool, stream []byte, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, &byteSource{data: stream}, o)
+	return decompressSource(ctx, pool, &streamSource{data: stream}, o)
 }
 
 // CompressAll runs the FedSZ pipeline over many client state dicts with
@@ -390,16 +379,11 @@ func CompressAllWith(ctx context.Context, pool *sched.Pool, sds []*tensor.StateD
 // GOMAXPROCS). Output i is bit-identical to Decompress(streams[i]).
 // Cancelling ctx stops the batch after the in-flight clients finish.
 func DecompressAll(ctx context.Context, streams [][]byte, parallelism int) ([]*tensor.StateDict, []*DecompressStats, error) {
-	return DecompressAllWith(ctx, sched.NewPool(parallelism), streams)
+	return DecompressAllOpts(ctx, sched.NewPool(parallelism), streams, DecodeOptions{})
 }
 
-// DecompressAllWith is DecompressAll drawing from an existing pool — the
-// session-codec path, where the batch shares the codec's own budget.
-func DecompressAllWith(ctx context.Context, pool *sched.Pool, streams [][]byte) ([]*tensor.StateDict, []*DecompressStats, error) {
-	return DecompressAllOpts(ctx, pool, streams, DecodeOptions{})
-}
-
-// DecompressAllOpts is DecompressAllWith with reference-aware decoding: the
+// DecompressAllOpts is DecompressAll drawing from an existing pool (the
+// session-codec path), with reference-aware decoding: the
 // aggregation-server round where every client encoded against the same
 // broadcast reference, so one DecodeOptions serves the whole batch. v1/v2
 // streams in the batch ignore o entirely.

@@ -207,7 +207,7 @@ func TestDecompressFromCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := DecompressFromWith(ctx, pool, r)
+		_, _, err := DecompressFromOpts(ctx, pool, r, DecodeOptions{})
 		done <- err
 	}()
 	<-r.stalled
@@ -229,7 +229,7 @@ func TestDecompressFromCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecompressFromWith(context.Background(), pool, bytes.NewReader(stream))
+	got, _, err := DecompressFromOpts(context.Background(), pool, bytes.NewReader(stream), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -201,6 +202,81 @@ func FuzzDecompress(f *testing.F) {
 			}
 			// A decodable dict must re-marshal without panicking.
 			_ = sd.Marshal()
+		}
+	})
+}
+
+// FuzzSectionParsers checks that every reader of the stream layout agrees:
+// whatever Sections accepts, ParseHeader and ParseTensorSection accept
+// section by section (so the wire framer never sends what a routed ingest
+// refuses), and whatever Sections rejects, both whole-stream decoders
+// reject as corrupt or reference-mismatched.
+func FuzzSectionParsers(f *testing.F) {
+	for _, e := range corruptCorpus(f) {
+		f.Add(e.data)
+	}
+	for _, e := range chunkCorruptCorpus(f) {
+		f.Add(e.data)
+	}
+	rng := rand.New(rand.NewPCG(105, 106))
+	ref := modelDict(rng)
+	sd := driftClone(rng, ref)
+	for _, v := range []struct {
+		version byte
+		opts    Options
+	}{
+		{streamVersion, Options{}},
+		{streamVersionV3, Options{Reference: ref, RefEpoch: 3}},
+		{streamVersionV4, Options{ChunkElems: 2048, Reference: ref, RefEpoch: 4}},
+	} {
+		stream, _, err := Compress(sd, v.opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if stream[4] != v.version {
+			f.Fatalf("seed stream version %d, want %d", stream[4], v.version)
+		}
+		f.Add(stream)
+	}
+	f.Add(oversizedTensorStream(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		secs, err := Sections(data)
+		if err == nil {
+			hdr, err := ParseHeader(secs.Header)
+			if err != nil {
+				t.Fatalf("Sections accepted a header ParseHeader rejects: %v", err)
+			}
+			for i, sec := range secs.Tensors {
+				if _, err := ParseTensorSection(hdr, sec); err != nil {
+					t.Fatalf("Sections accepted tensor section %d that ParseTensorSection rejects: %v", i, err)
+				}
+			}
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Sections: error %v does not wrap ErrCorrupt", err)
+		}
+		decoders := []struct {
+			name string
+			run  func() error
+		}{
+			{"DecompressOpts", func() error {
+				_, _, err := DecompressOpts(context.Background(), sched.Serial(), data, DecodeOptions{})
+				return err
+			}},
+			{"DecompressFromOpts", func() error {
+				_, _, err := DecompressFromOpts(context.Background(), sched.Serial(), bytes.NewReader(data), DecodeOptions{})
+				return err
+			}},
+		}
+		for _, d := range decoders {
+			err := d.run()
+			if err == nil {
+				t.Fatalf("%s decoded a stream Sections rejects", d.name)
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrReference) {
+				t.Fatalf("%s: error %v wraps neither ErrCorrupt nor ErrReference", d.name, err)
+			}
 		}
 	})
 }

@@ -2,18 +2,15 @@ package core
 
 // Streaming decode: the io.Reader-based counterpart of Compress's output.
 //
-// A FedSZ stream is already sequential — header, per-tensor sections, one
+// A FedSZ stream is sequential — header, per-tensor sections, one
 // lossless-partition section — so it can be decoded incrementally while it
 // is still arriving from a socket: as soon as tensor i's section is fully
 // read, its decode is submitted to the shared worker pool and the reader
-// goroutine moves on to tensor i+1. The in-memory Decompress is a thin
-// wrapper over this path (a bytes.Reader delivers every section
-// instantly), so there is exactly one decoder.
-//
-// Sections exposes the same boundaries to the transport layer: the wire
-// format (internal/wire) frames a stream at section granularity, which
-// means a receiver piping wire payloads into DecompressFrom decodes tensor
-// i while tensor i+1 is still crossing the network.
+// goroutine moves on to tensor i+1. The in-memory Decompress runs the same
+// decoder over an in-memory source, so there is exactly one. This file
+// holds the input source and the receive/decode/re-interleave schedule;
+// the layout itself is read only by readHeader and readTensor (parse.go),
+// and tensors decode through a SectionDecoder.
 
 import (
 	"bufio"
@@ -24,133 +21,36 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compressors"
 	"repro/internal/ebcl"
-	"repro/internal/lossless"
 	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
-const (
-	// maxStreamEntries bounds the tensor count a header may declare before
-	// the flag array is allocated (a real model has a few hundred entries).
-	maxStreamEntries = 1 << 20
-	// maxSectionBytes bounds a single section's declared length.
-	maxSectionBytes = 1 << 30
-)
+// maxSectionBytes bounds a single section's declared length.
+const maxSectionBytes = 1 << 30
 
-// StreamSections splits a FedSZ stream into its transport framing units.
-// All fields are views into the original stream, not copies, and their
-// concatenation (Header, Tensors..., Lossless) is the logical stream.
-type StreamSections struct {
-	// Header spans the fixed preamble: magic, version, compressor names,
-	// entry count, and path flags.
-	Header []byte
-	// Tensors holds one unit per lossy tensor: name, kind, shape, and the
-	// length-prefixed compressed blob.
-	Tensors [][]byte
-	// Lossless is the length-prefixed lossless-partition section.
-	Lossless []byte
+// streamSource is the layout readers' input, in one of two modes. An
+// in-memory source (data set, br nil) serves zero-copy views straight out
+// of the stream — the batch server's hot path, and the parsers' view of a
+// single section. A reader source (newReaderSource) receives the stream as
+// it arrives, each section into a pooled buffer that grows with the bytes
+// actually received, so a hostile length prefix cannot force a giant
+// up-front allocation. A concrete type rather than an interface keeps an
+// in-memory source on the caller's stack.
+type streamSource struct {
+	data []byte
+	pos  int
+
+	br      *bufio.Reader
+	tracker *readTracker
+	// scratch backs readFull's views in reader mode; it grows to the
+	// largest fixed field read (at most maxStreamEntries path flags).
+	scratch []byte
 }
 
-// Sections parses the section boundaries of a serialized FedSZ stream
-// without decoding any payloads — the sender-side half of wire framing.
-func Sections(stream []byte) (*StreamSections, error) {
-	if len(stream) < 5 || binary.LittleEndian.Uint32(stream) != streamMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if !supportedStreamVersion(stream[4]) {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, stream[4])
-	}
-	// v3 and v4 headers carry a reference epoch and per-section mode bytes
-	// (v4 pins the epoch to 0 when no reference was used).
-	hasMode := stream[4] == streamVersionV3 || stream[4] == streamVersionV4
-	pos := 5
-	var err error
-	if _, pos, err = readString(stream, pos); err != nil { // lossy name
-		return nil, err
-	}
-	if _, pos, err = readString(stream, pos); err != nil { // lossless name
-		return nil, err
-	}
-	if hasMode {
-		if pos+4 > len(stream) {
-			return nil, ErrCorrupt
-		}
-		pos += 4 // reference epoch
-	}
-	if pos+4 > len(stream) {
-		return nil, ErrCorrupt
-	}
-	count := int(binary.LittleEndian.Uint32(stream[pos:]))
-	pos += 4
-	if count > maxStreamEntries || pos+count > len(stream) {
-		return nil, ErrCorrupt
-	}
-	nLossy := 0
-	for _, f := range stream[pos : pos+count] {
-		switch f {
-		case pathLossy:
-			nLossy++
-		case pathLossless:
-		default:
-			return nil, ErrCorrupt
-		}
-	}
-	pos += count
-
-	s := &StreamSections{Header: stream[:pos], Tensors: make([][]byte, 0, nLossy)}
-	for i := 0; i < nLossy; i++ {
-		tStart := pos
-		if _, pos, err = readString(stream, pos); err != nil { // tensor name
-			return nil, err
-		}
-		if pos+2 > len(stream) {
-			return nil, ErrCorrupt
-		}
-		rank := int(stream[pos+1])
-		pos += 2
-		if pos+4*rank > len(stream) {
-			return nil, ErrCorrupt
-		}
-		pos += 4 * rank
-		if hasMode {
-			if pos >= len(stream) {
-				return nil, ErrCorrupt
-			}
-			if m := stream[pos]; m != sectionAbsolute && m != sectionDelta {
-				return nil, fmt.Errorf("%w: tensor section mode %d", ErrCorrupt, m)
-			}
-			pos++
-		}
-		if _, pos, err = ebcl.ReadSection(stream, pos); err != nil {
-			return nil, fmt.Errorf("%w: lossy section %d: %w", ErrCorrupt, i, err)
-		}
-		s.Tensors = append(s.Tensors, stream[tStart:pos])
-	}
-	lStart := pos
-	if _, pos, err = ebcl.ReadSection(stream, pos); err != nil {
-		return nil, fmt.Errorf("%w: metadata section: %w", ErrCorrupt, err)
-	}
-	s.Lossless = stream[lStart:pos]
-	return s, nil
-}
-
-// streamSource abstracts the decoder's input. The in-memory source serves
-// zero-copy section views straight out of the stream (the batch server's
-// hot path); the reader source receives sections into pooled buffers as
-// the bytes arrive.
-type streamSource interface {
-	// readFull fills buf or fails with a corruption error naming what.
-	readFull(buf []byte, what string) error
-	// readString reads a length-prefixed name.
-	readString(what string) (string, error)
-	// readSection reads one uvarint-length-prefixed section, returning its
-	// bytes and a release callback valid once the bytes are dead (recycles
-	// pooled buffers; no-op for in-memory views).
-	readSection(what string) ([]byte, func(), error)
-	// wait reports time spent blocked on input.
-	wait() time.Duration
+func newReaderSource(ctx context.Context, r io.Reader) *streamSource {
+	t := &readTracker{r: r, ctx: ctx}
+	return &streamSource{br: bufio.NewReaderSize(t, 4096), tracker: t}
 }
 
 // corruptRead maps read failures to ErrCorrupt: a stream that ends (or
@@ -159,42 +59,82 @@ func corruptRead(context string, err error) error {
 	return fmt.Errorf("%w: %s: %v", ErrCorrupt, context, err)
 }
 
+// readFull returns the next n bytes, valid until the next read from s, or
+// fails with a corruption error naming what.
+func (s *streamSource) readFull(n int, what string) ([]byte, error) {
+	if s.br == nil {
+		if n > len(s.data)-s.pos {
+			return nil, corruptRead(what, io.ErrUnexpectedEOF)
+		}
+		s.pos += n
+		return s.data[s.pos-n : s.pos], nil
+	}
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	buf := s.scratch[:n]
+	if _, err := io.ReadFull(s.br, buf); err != nil {
+		return nil, corruptRead(what, err)
+	}
+	return buf, nil
+}
+
+// readString reads a length-prefixed name.
+func (s *streamSource) readString(what string) (string, error) {
+	if s.br == nil {
+		str, pos, err := readString(s.data, s.pos)
+		if err != nil {
+			return "", fmt.Errorf("%w: %s", err, what)
+		}
+		s.pos = pos
+		return str, nil
+	}
+	l, err := s.br.ReadByte()
+	if err != nil {
+		return "", corruptRead(what, err)
+	}
+	buf, err := s.readFull(int(l), what)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// readSection reads one uvarint-length-prefixed section, returning its
+// bytes and a release callback to call once the bytes are dead (recycles
+// the pooled buffer; a no-op for in-memory views).
+func (s *streamSource) readSection(what string) ([]byte, func(), error) {
+	if s.br == nil {
+		blob, pos, err := ebcl.ReadSection(s.data, s.pos)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
+		}
+		s.pos = pos
+		return blob, releaseNothing, nil
+	}
+	l, err := binary.ReadUvarint(s.br)
+	if err != nil {
+		return nil, nil, corruptRead(what, err)
+	}
+	if l > maxSectionBytes {
+		return nil, nil, fmt.Errorf("%w: %s: section length %d exceeds limit", ErrCorrupt, what, l)
+	}
+	buf, err := sched.ReadFullPooled(s.br, int(l))
+	if err != nil {
+		return nil, nil, corruptRead(what, err)
+	}
+	return buf, func() { sched.PutBytes(buf) }, nil
+}
+
 func releaseNothing() {}
 
-// byteSource decodes an in-memory stream with zero-copy section views.
-type byteSource struct {
-	data []byte
-	pos  int
-}
-
-func (s *byteSource) readFull(buf []byte, what string) error {
-	if s.pos+len(buf) > len(s.data) {
-		return corruptRead(what, io.ErrUnexpectedEOF)
+// wait reports time spent blocked on input.
+func (s *streamSource) wait() time.Duration {
+	if s.tracker == nil {
+		return 0
 	}
-	copy(buf, s.data[s.pos:])
-	s.pos += len(buf)
-	return nil
+	return s.tracker.blocked
 }
-
-func (s *byteSource) readString(what string) (string, error) {
-	str, pos, err := readString(s.data, s.pos)
-	if err != nil {
-		return "", fmt.Errorf("%w: %s", err, what)
-	}
-	s.pos = pos
-	return str, nil
-}
-
-func (s *byteSource) readSection(what string) ([]byte, func(), error) {
-	blob, pos, err := ebcl.ReadSection(s.data, s.pos)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, what, err)
-	}
-	s.pos = pos
-	return blob, releaseNothing, nil
-}
-
-func (s *byteSource) wait() time.Duration { return 0 }
 
 // readTracker measures time spent blocked in the underlying Read — the
 // "waiting for the network" component of a streaming decode — and aborts
@@ -218,176 +158,65 @@ func (t *readTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readerSource decodes an arriving stream, receiving each section into a
-// pooled buffer that grows with the bytes actually received (a hostile
-// length prefix cannot force a giant up-front allocation).
-type readerSource struct {
-	br      *bufio.Reader
-	tracker *readTracker
-}
-
-func newReaderSource(ctx context.Context, r io.Reader) *readerSource {
-	t := &readTracker{r: r, ctx: ctx}
-	return &readerSource{br: bufio.NewReaderSize(t, 4096), tracker: t}
-}
-
-func (s *readerSource) readFull(buf []byte, what string) error {
-	if _, err := io.ReadFull(s.br, buf); err != nil {
-		return corruptRead(what, err)
-	}
-	return nil
-}
-
-func (s *readerSource) readString(what string) (string, error) {
-	l, err := s.br.ReadByte()
-	if err != nil {
-		return "", corruptRead(what, err)
-	}
-	buf := make([]byte, int(l))
-	if err := s.readFull(buf, what); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func (s *readerSource) readSection(what string) ([]byte, func(), error) {
-	l, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return nil, nil, corruptRead(what, err)
-	}
-	if l > maxSectionBytes {
-		return nil, nil, fmt.Errorf("%w: %s: section length %d exceeds limit", ErrCorrupt, what, l)
-	}
-	buf, err := sched.ReadFullPooled(s.br, int(l))
-	if err != nil {
-		return nil, nil, corruptRead(what, err)
-	}
-	return buf, func() { sched.PutBytes(buf) }, nil
-}
-
-func (s *readerSource) wait() time.Duration { return s.tracker.blocked }
-
 // DecompressFrom decodes a FedSZ stream incrementally from r on the
 // process-wide shared pool: tensor i decodes while tensor i+1 is still
 // being read, which on a socket means decode overlaps receive.
 func DecompressFrom(r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
-	return DecompressFromWith(context.Background(), sched.Default(), r)
+	return DecompressFromOpts(context.Background(), sched.Default(), r, DecodeOptions{})
 }
 
-// DecompressFromOpts is DecompressFromWith with reference-aware decoding:
-// v3 delta streams reconstruct residual sections against o.Reference (see
-// DecodeOptions). v1/v2 streams ignore o entirely.
-func DecompressFromOpts(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, newReaderSource(ctx, r), o)
-}
-
-// DecompressFromWith is DecompressFrom drawing decode parallelism from the
-// given pool (nil runs serially). The reading goroutine submits each fully
-// received blob to the pool and immediately returns to reading; when the
-// pool budget is exhausted it decodes inline, which pauses reading — the
-// per-connection backpressure that keeps a streaming server's peak memory
-// bounded by its parallelism budget rather than its client count.
+// DecompressFromOpts is DecompressFrom drawing decode parallelism from the
+// given pool (nil runs serially), with reference-aware decoding: v3/v4
+// delta streams reconstruct residual sections against o.Reference (see
+// DecodeOptions); v1/v2 streams ignore o entirely. The reading goroutine
+// submits each fully received blob to the pool and immediately returns to
+// reading; when the pool budget is exhausted it decodes inline, which
+// pauses reading — the per-connection backpressure that keeps a streaming
+// server's peak memory bounded by its parallelism budget rather than its
+// client count.
 //
 // Cancelling ctx aborts the decode: reads stop at the next chunk, pending
 // decode workers exit before starting their blob, and the call returns
 // ctx.Err() after the in-flight workers drain (no pool slot or pooled
 // buffer is leaked).
-func DecompressFromWith(ctx context.Context, pool *sched.Pool, r io.Reader) (*tensor.StateDict, *DecompressStats, error) {
-	return decompressSource(ctx, pool, newReaderSource(ctx, r), DecodeOptions{})
+func DecompressFromOpts(ctx context.Context, pool *sched.Pool, r io.Reader, o DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
+	return decompressSource(ctx, pool, newReaderSource(ctx, r), o)
 }
 
 // decompressSource is the one decoder behind every entry point.
-func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, dopts DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
+func decompressSource(ctx context.Context, pool *sched.Pool, src *streamSource, dopts DecodeOptions) (*tensor.StateDict, *DecompressStats, error) {
 	start := time.Now()
-	poolHits0, poolMisses0 := sched.BytePoolCounters()
-	floatHits0, floatMisses0 := sched.FloatPoolCounters()
 	recycled0 := sched.RecycledBytes()
 
-	// failRead prefers the context's error over the read failure it caused:
-	// a cancelled socket read otherwise surfaces as a corrupt-looking short
+	// ctxFirst prefers the context's error over the failure it caused: a
+	// cancelled socket read otherwise surfaces as a corrupt-looking short
 	// stream.
-	failRead := func(err error) (*tensor.StateDict, *DecompressStats, error) {
+	ctxFirst := func(err error) error {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
+			return cerr
 		}
+		return err
+	}
+	hdr, err := readHeader(src)
+	if err != nil {
+		return nil, nil, ctxFirst(err)
+	}
+	dec, err := NewSectionDecoder(hdr, dopts)
+	if err != nil {
 		return nil, nil, err
 	}
-
-	var hdr [5]byte
-	if err := src.readFull(hdr[:], "header"); err != nil {
-		return failRead(err)
-	}
-	if binary.LittleEndian.Uint32(hdr[:]) != streamMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if !supportedStreamVersion(hdr[4]) {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr[4])
-	}
-	// v3/v4 streams carry a reference epoch and per-section mode bytes;
-	// only v4 streams may carry chunked tensor blobs (in v1–v3 a 0xFC
-	// first byte is codec data and fails the codec's own magic check).
-	hasMode := hdr[4] == streamVersionV3 || hdr[4] == streamVersionV4
-	chunkedOK := hdr[4] == streamVersionV4
-	lossyName, err := src.readString("lossy compressor name")
-	if err != nil {
-		return failRead(err)
-	}
-	losslessName, err := src.readString("lossless codec name")
-	if err != nil {
-		return failRead(err)
-	}
-	var refEpoch uint32
-	if hasMode {
-		var eb [4]byte
-		if err := src.readFull(eb[:], "reference epoch"); err != nil {
-			return failRead(err)
-		}
-		refEpoch = binary.LittleEndian.Uint32(eb[:])
-	}
-	lossy, err := compressors.Get(lossyName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	codec, err := lossless.Get(losslessName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	var cnt [4]byte
-	if err := src.readFull(cnt[:], "entry count"); err != nil {
-		return failRead(err)
-	}
-	count := int(binary.LittleEndian.Uint32(cnt[:]))
-	if count > maxStreamEntries {
-		return nil, nil, fmt.Errorf("%w: entry count %d exceeds limit", ErrCorrupt, count)
-	}
-	flags := make([]byte, count)
-	if err := src.readFull(flags, "path flags"); err != nil {
-		return failRead(err)
-	}
-	nLossy := 0
-	for _, f := range flags {
-		switch f {
-		case pathLossy:
-			nLossy++
-		case pathLossless:
-		default:
-			return nil, nil, ErrCorrupt
-		}
-	}
+	dec.pool = pool
 
 	// Pipelined receive + decode: the loop below reads section i+1 while
 	// earlier sections decode on the pool. Decode durations accumulate into
 	// decodeWork so OverlapRatio can report how much of that work was
 	// hidden behind reading.
 	type lossyEntry struct {
-		name  string
-		kind  tensor.Kind
-		shape []int
-		elems int
-		data  []float32
-		err   error
+		pt   *ParsedTensor
+		data []float32
+		err  error
 	}
-	entries := make([]lossyEntry, nLossy)
+	entries := make([]lossyEntry, hdr.LossyCount)
 	nDelta := 0
 	var nChunked atomic.Int64
 	var decodeWork atomic.Int64
@@ -395,10 +224,9 @@ func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, d
 	var restErr error
 	g := pool.Group()
 	// fail funnels every abort path through one place so cancellation wins
-	// over the secondary errors it induces (a cancelled read surfaces as a
-	// corrupt-looking short stream), in-flight workers always drain, and
-	// already-decoded tensor buffers — lossy and metadata partitions both
-	// — go back to the pool.
+	// over the secondary errors it induces, in-flight workers always
+	// drain, and already-decoded tensor buffers — lossy and metadata
+	// partitions both — go back to the pool.
 	fail := func(err error) (*tensor.StateDict, *DecompressStats, error) {
 		g.Wait()
 		for i := range entries {
@@ -411,96 +239,40 @@ func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, d
 			Release(rest)
 			rest = nil
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
-		}
-		return nil, nil, err
+		return nil, nil, ctxFirst(err)
 	}
-	for i := 0; i < nLossy; i++ {
+	for i := range entries {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		e := &entries[i]
-		if e.name, err = src.readString("tensor name"); err != nil {
-			return fail(err)
-		}
-		var meta [2]byte
-		if err := src.readFull(meta[:], "tensor metadata"); err != nil {
-			return fail(err)
-		}
-		e.kind = tensor.Kind(meta[0])
-		rank := int(meta[1])
-		dims := make([]byte, 4*rank)
-		if err := src.readFull(dims, "tensor shape"); err != nil {
-			return fail(err)
-		}
-		e.shape = make([]int, rank)
-		e.elems = 1
-		for d := range e.shape {
-			e.shape[d] = int(binary.LittleEndian.Uint32(dims[4*d:]))
-			e.elems *= e.shape[d]
-			if e.elems > ebcl.MaxElements {
-				return fail(fmt.Errorf("%w: tensor %q element count exceeds limit", ErrCorrupt, e.name))
-			}
-		}
-		// v3/v4 sections carry a mode byte; a residual section is only
-		// decodable when this decoder holds the same-epoch baseline with a
-		// matching tensor — anything else is a reference mismatch, not
-		// corruption, so the sender can renegotiate an absolute upload.
-		var refData []float32
-		if hasMode {
-			var mb [1]byte
-			if err := src.readFull(mb[:], "tensor mode"); err != nil {
-				return fail(err)
-			}
-			switch mb[0] {
-			case sectionAbsolute:
-			case sectionDelta:
-				if dopts.Reference == nil {
-					return fail(fmt.Errorf("%w: residual section %q but no reference supplied", ErrReference, e.name))
-				}
-				if dopts.RefEpoch != refEpoch {
-					return fail(fmt.Errorf("%w: stream encoded against epoch %d, decoder holds %d", ErrReference, refEpoch, dopts.RefEpoch))
-				}
-				rt := dopts.Reference.Get(e.name)
-				if rt == nil || rt.NumElems() != e.elems {
-					return fail(fmt.Errorf("%w: reference lacks matching tensor %q", ErrReference, e.name))
-				}
-				refData = rt.Data
-				nDelta++
-			default:
-				return fail(fmt.Errorf("%w: tensor %q section mode %d", ErrCorrupt, e.name, mb[0]))
-			}
-		}
-		blob, release, err := src.readSection(fmt.Sprintf("lossy section %q", e.name))
+		pt, release, err := readTensor(hdr, src)
 		if err != nil {
 			return fail(err)
 		}
+		ref, err := dec.Baseline(pt)
+		if err != nil {
+			release()
+			return fail(err)
+		}
+		if pt.Delta {
+			nDelta++
+		}
+		e := &entries[i]
+		e.pt = pt
 		g.Go(func() {
 			if cerr := ctx.Err(); cerr != nil {
 				release()
 				e.err = cerr
 				return
 			}
-			// The reconstruction lands straight in a pool-backed buffer
-			// sized from the tensor's declared shape — the into-style half
-			// of the codec contract. The buffer stays with the output dict;
-			// a fold-and-discard server recycles it via core.Release. A
-			// chunked (v4) blob fans its chunks back out on the pool, and a
-			// residual section folds the baseline back in per chunk — the
-			// decode half of the subtract/add pair.
-			if chunkedOK && isChunkedBlob(blob) {
+			// A chunked (v4) blob fans its chunks back out on the pool. The
+			// buffer stays with the output dict; a fold-and-discard server
+			// recycles it via core.Release.
+			if hdr.Chunked() && isChunkedBlob(pt.Blob) {
 				nChunked.Add(1)
 			}
-			dst := sched.GetFloats(e.elems)
-			data, derr := decodeBlobInto(pool, lossy, dst, blob, e.elems, chunkedOK, refData, &decodeWork)
+			e.data, e.err = dec.decodeTensor(pt, ref, &decodeWork)
 			release()
-			if derr != nil {
-				sched.PutFloats(dst)
-				e.err = fmt.Errorf("%w: lossy decompress %q: %w", ErrCorrupt, e.name, derr)
-				return
-			}
-			e.data = data
 		})
 	}
 	restBlob, restRelease, err := src.readSection("metadata section")
@@ -514,19 +286,9 @@ func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, d
 			return
 		}
 		t0 := time.Now()
-		restRaw, derr := codec.Decompress(restBlob)
-		restRelease()
-		if derr != nil {
-			decodeWork.Add(int64(time.Since(t0)))
-			restErr = fmt.Errorf("%w: lossless decompress: %w", ErrCorrupt, derr)
-			return
-		}
-		rest, derr = tensor.UnmarshalStateDict(restRaw)
+		rest, restErr = dec.decodeLossless(restBlob)
 		decodeWork.Add(int64(time.Since(t0)))
-		sched.PutBytes(restRaw)
-		if derr != nil {
-			restErr = fmt.Errorf("%w: metadata decode: %w", ErrCorrupt, derr)
-		}
+		restRelease()
 	})
 	g.Wait()
 	if err := ctx.Err(); err != nil {
@@ -546,17 +308,14 @@ func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, d
 	out := tensor.NewStateDict()
 	li, ri := 0, 0
 	restEntries := rest.Entries()
-	for _, f := range flags {
+	for _, f := range hdr.Flags {
 		if f == pathLossy {
-			if li >= len(entries) {
-				return fail(ErrCorrupt)
-			}
 			e := entries[li]
 			li++
-			if out.Get(e.name) != nil {
-				return fail(fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.name))
+			if out.Get(e.pt.Name) != nil {
+				return fail(fmt.Errorf("%w: duplicate tensor %q", ErrCorrupt, e.pt.Name))
 			}
-			out.Add(e.name, e.kind, tensor.FromData(e.data, e.shape...))
+			out.Add(e.pt.Name, e.pt.Kind, tensor.FromData(e.data, e.pt.Shape...))
 		} else {
 			if ri >= len(restEntries) {
 				return fail(ErrCorrupt)
@@ -569,20 +328,14 @@ func decompressSource(ctx context.Context, pool *sched.Pool, src streamSource, d
 			out.Add(e.Name, e.Kind, e.Tensor)
 		}
 	}
-	poolHits1, poolMisses1 := sched.BytePoolCounters()
-	floatHits1, floatMisses1 := sched.FloatPoolCounters()
 	elapsed := time.Since(start)
-	stageFor(lossyName).decode.Observe(elapsed.Seconds())
+	dec.ObserveDecode(elapsed)
 	return out, &DecompressStats{
-		DecompressTime:  elapsed,
-		ReadWait:        src.wait(),
-		DecodeWork:      time.Duration(decodeWork.Load()),
-		PoolHits:        poolHits1 - poolHits0,
-		PoolMisses:      poolMisses1 - poolMisses0,
-		FloatPoolHits:   floatHits1 - floatHits0,
-		FloatPoolMisses: floatMisses1 - floatMisses0,
-		BytesRecycled:   sched.RecycledBytes() - recycled0,
-		DeltaTensors:    nDelta,
-		ChunkedTensors:  int(nChunked.Load()),
+		DecompressTime: elapsed,
+		ReadWait:       src.wait(),
+		DecodeWork:     time.Duration(decodeWork.Load()),
+		BytesRecycled:  sched.RecycledBytes() - recycled0,
+		DeltaTensors:   nDelta,
+		ChunkedTensors: int(nChunked.Load()),
 	}, nil
 }

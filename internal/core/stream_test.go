@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/tensor"
 )
 
 // trickleReader delivers at most chunk bytes per Read with a small delay —
@@ -63,7 +65,7 @@ func TestDecompressFromSlowReaderOverlapsDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := &trickleReader{r: bytes.NewReader(stream), chunk: 4096, delay: 200 * time.Microsecond}
-	got, stats, err := DecompressFromWith(context.Background(), sched.NewPool(4), slow)
+	got, stats, err := DecompressFromOpts(context.Background(), sched.NewPool(4), slow, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +161,38 @@ func TestSectionsRejectsCorrupt(t *testing.T) {
 		{"magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"version", func(b []byte) []byte { b[4] ^= 0x55; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		// Well framed, but the receivers refuse it, so the framer must too.
+		{"tensor-2^32-elements", func([]byte) []byte { return oversizedTensorStream(t) }},
 	} {
 		bad := tc.mutate(append([]byte(nil), stream...))
 		if _, err := Sections(bad); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
 		}
 	}
+}
+
+// oversizedTensorStream is a well-framed v2 stream whose one lossy tensor
+// declares shape [65536, 65536]: 2^32 elements, over ebcl.MaxElements.
+func oversizedTensorStream(tb testing.TB) []byte {
+	tb.Helper()
+	sd := tensor.NewStateDict()
+	sd.Add("fc.weight", tensor.KindWeight, tensor.New(128, 64))
+	stream, _, err := Compress(sd, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	secs, err := Sections(stream)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if stream[4] != streamVersion || len(secs.Tensors) != 1 {
+		tb.Fatalf("fixture: version %d with %d tensor sections", stream[4], len(secs.Tensors))
+	}
+	// Tensor section: name(u8 len + bytes) kind(u8) rank(u8) dims(u32)×rank.
+	dims := len(secs.Header) + 1 + len("fc.weight") + 2
+	binary.LittleEndian.PutUint32(stream[dims:], 65536)
+	binary.LittleEndian.PutUint32(stream[dims+4:], 65536)
+	return stream
 }
 
 func TestOverlapRatioBounds(t *testing.T) {

@@ -9,7 +9,9 @@
 // All integers are little-endian. Each frame's crc is CRC-32 (IEEE) over
 // kind, payloadLen, and payload, so corruption is caught frame-by-frame —
 // before a damaged payload ever reaches the decoder. Frame kinds mirror
-// the FedSZ stream's section layout (core.Sections):
+// the FedSZ stream's section layout as core.Sections splits it — with
+// the same parser the receiving side uses, so a sender frames only
+// sections core.ParseHeader and core.ParseTensorSection accept:
 //
 //	FrameHeader   — the stream preamble through the path flags
 //	FrameTensor   — one lossy tensor: name, kind, shape, compressed blob
