@@ -59,7 +59,7 @@ func measureChunkScaling(snap *perfSnapshot, record func(name string, bytesMoved
 		name string
 		opts core.Options
 	}{
-		{"chunked", core.Options{}},               // default ChunkElems → 8 chunks on fc.weight
+		{"chunked", core.Options{}},                 // default ChunkElems → 8 chunks on fc.weight
 		{"unchunked", core.Options{ChunkElems: -1}}, // v2 layout, per-tensor parallelism only
 	}
 	encEntries := map[string]perfEntry{}

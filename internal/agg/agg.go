@@ -27,6 +27,14 @@
 // can differ, which reassociates float addition; the conformance tests
 // bound that difference (see TestShardedConformance).
 //
+// # In-memory fold
+//
+// Fold takes an update that is already decoded, as in fl.RunRound's
+// in-memory rounds. The whole dict takes the lossless partition's path,
+// unrouted, through the same commit, so sequential Folds at weight 1 meet
+// the same adopt-first oracle bit for bit. Between Resets an accumulator
+// takes either Folds or streams: the two define different layouts.
+//
 // # Hierarchical topology
 //
 // An edge is a flserve.Server folding its local population through a
@@ -170,9 +178,6 @@ func (t *readTracker) Read(p []byte) (int, error) {
 func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
 	start := time.Now()
 	recycled0 := sched.RecycledBytes()
-	if weight == 0 {
-		weight = 1
-	}
 	m := metrics()
 
 	tr := &readTracker{r: r}
@@ -343,10 +348,9 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 		}
 	}
 
-	if err := s.commit(client, weight, hdr.Flags, entries, metaDict); err != nil {
+	if _, err := s.commit(client, weight, hdr.Flags, entries, metaDict); err != nil {
 		return abort(err)
 	}
-	m.updates.Inc()
 
 	elapsed := time.Since(start)
 	dec.ObserveDecode(elapsed)
@@ -359,13 +363,33 @@ func (s *Sharded) IngestStream(ctx context.Context, client uint32, weight float6
 	}, nil
 }
 
+// Fold is IngestStream for an already-decoded update (see "In-memory
+// fold" above). On success Fold owns sd: an adopted sd becomes the
+// accumulator, a folded or dedup-dropped one goes back via core.Release.
+// On error sd stays the caller's.
+func (s *Sharded) Fold(client uint32, weight float64, sd *tensor.StateDict) error {
+	adopted, err := s.commit(client, weight, make([]byte, sd.Len()), nil, sd)
+	if err != nil {
+		return err
+	}
+	if !adopted {
+		core.Release(sd)
+	}
+	return nil
+}
+
 // commit folds one fully verified, fully decoded update into the sharded
+// accumulator and reports whether it adopted the update as the
 // accumulator. It validates first and folds second, so a structural
 // mismatch aborts with the accumulator untouched. The caller releases the
 // staged buffers on error; on success adopted buffers transfer to the
-// accumulator and added ones are recycled here.
-func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []staged, metaDict *tensor.StateDict) error {
+// accumulator and added ones are recycled here. metaDict is adopted
+// as-is or left to the caller. A weight of 0 folds at 1.
+func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []staged, metaDict *tensor.StateDict) (bool, error) {
 	t0 := time.Now()
+	if weight == 0 {
+		weight = 1
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cfg.DedupByClient {
@@ -379,7 +403,7 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 				sched.PutFloats(entries[i].data)
 				entries[i].data = nil
 			}
-			return nil
+			return false, nil
 		}
 	}
 
@@ -397,20 +421,20 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 		// re-checking here closes the race where two first updates ingest
 		// concurrently and only one gets to define the structure.
 		if !bytesEqual(s.structure.flags, flags) {
-			return fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
+			return false, fmt.Errorf("%w: agg: update path flags differ from accumulator", core.ErrCorrupt)
 		}
 		if len(entries) != len(s.structure.lossy) {
-			return fmt.Errorf("%w: agg: update has %d lossy tensors, accumulator %d", core.ErrCorrupt, len(entries), len(s.structure.lossy))
+			return false, fmt.Errorf("%w: agg: update has %d lossy tensors, accumulator %d", core.ErrCorrupt, len(entries), len(s.structure.lossy))
 		}
 		for i := range entries {
 			want := &s.structure.lossy[i]
 			if entries[i].meta.name != want.name || entries[i].meta.elems != want.elems {
-				return fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
+				return false, fmt.Errorf("%w: agg: tensor %d is %q[%d], accumulator holds %q[%d]",
 					core.ErrCorrupt, i, entries[i].meta.name, entries[i].meta.elems, want.name, want.elems)
 			}
 		}
 		if err := s.meta.CheckCompatible(metaDict); err != nil {
-			return fmt.Errorf("agg: metadata partition: %w", err)
+			return false, fmt.Errorf("agg: metadata partition: %w", err)
 		}
 	}
 
@@ -450,7 +474,7 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 	} else if err := s.meta.AddScaled(metaDict, w); err != nil {
 		// Unreachable after CheckCompatible above; kept as a hard stop so
 		// a silent partial fold can never happen.
-		return fmt.Errorf("agg: metadata partition: %w", err)
+		return false, fmt.Errorf("agg: metadata partition: %w", err)
 	}
 
 	if s.cfg.DedupByClient {
@@ -458,8 +482,9 @@ func (s *Sharded) commit(client uint32, weight float64, flags []byte, entries []
 	}
 	s.n++
 	s.wsum += weight
+	metrics().updates.Inc()
 	metrics().mergeHist.Observe(time.Since(t0).Seconds())
-	return nil
+	return adopt, nil
 }
 
 // assembleSumView builds the accumulator-order StateDict whose tensors

@@ -434,6 +434,65 @@ func TestShardedDedupAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesOracle: sequential Folds of decoded updates produce the
+// adopt-first oracle's mean bit for bit — the same commit as streamed
+// ingest, minus the routing.
+func TestFoldMatchesOracle(t *testing.T) {
+	_, decoded := compressUpdates(t, 4)
+	want := oracleMean(t, decoded)
+	sh := New(Config{Shards: 2})
+	for i, sd := range decoded {
+		if err := sh.Fold(uint32(i), 1, sd.Clone()); err != nil {
+			t.Fatalf("fold client %d: %v", i, err)
+		}
+	}
+	got, n := sh.Mean()
+	if n != len(decoded) {
+		t.Fatalf("folded %d, want %d", n, len(decoded))
+	}
+	if d, err := want.MaxAbsDiff(got); err != nil || d != 0 {
+		t.Fatalf("Fold mean differs from the oracle: d=%v err=%v", d, err)
+	}
+	// Folds and streams define different layouts; mixing them is a
+	// structural mismatch, not a silent misfold.
+	streams, _ := compressUpdates(t, 1)
+	if _, _, err := sh.IngestStream(context.Background(), 9, 1, core.DecodeOptions{}, bytes.NewReader(frame(t, streams[0]))); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("stream into a Fold accumulator: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestFoldDedupCountsOnce: with DedupByClient, a second Fold from the same
+// client is dropped inside commit — the branch a concurrent duplicate
+// upload reaches — so Count stays 1, fedsz_agg_updates_total ("Updates
+// folded") moves by exactly one, and the duplicate's buffers go back to
+// the pool.
+func TestFoldDedupCountsOnce(t *testing.T) {
+	sh := New(Config{DedupByClient: true})
+	first, dup := clientUpdate(1), clientUpdate(2)
+	want := first.Clone()
+	updates0 := metrics().updates.Value()
+	if err := sh.Fold(7, 1, first); err != nil {
+		t.Fatal(err)
+	}
+	recycled0 := sched.RecycledBytes()
+	if err := sh.Fold(7, 1, dup); err != nil {
+		t.Fatalf("duplicate fold: %v, want a silent drop", err)
+	}
+	if got := sched.RecycledBytes() - recycled0; got < uint64(dup.SizeBytes()) {
+		t.Fatalf("duplicate recycled %d bytes, want >= %d", got, dup.SizeBytes())
+	}
+	if n := sh.Count(); n != 1 {
+		t.Fatalf("Count %d, want 1", n)
+	}
+	if d := metrics().updates.Value() - updates0; d != 1 {
+		t.Fatalf("fedsz_agg_updates_total moved by %d, want 1", d)
+	}
+	mean, _ := sh.Mean()
+	if d, err := want.MaxAbsDiff(mean); err != nil || d != 0 {
+		t.Fatalf("mean is not the first update: d=%v err=%v", d, err)
+	}
+}
+
 // TestTwoTierE2E runs a real root + two edges over TCP: clients upload to
 // the edges, the edges Forward one fused weighted update each, and the root
 // mean must match the flat fold of all five clients within the documented

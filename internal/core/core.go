@@ -407,9 +407,9 @@ func DecompressAllOpts(ctx context.Context, pool *sched.Pool, streams [][]byte, 
 // Release returns sd's tensor buffers to the shared float pool and must
 // only be called when nothing references the state dict anymore — the
 // fold-and-discard discipline of an aggregation server: Decompress lands
-// reconstructed tensors in pool-backed buffers, RunRound folds them into
-// the accumulator, and Release recycles the storage for the next client's
-// decode. Releasing a dict the caller still reads (or one whose tensors
+// reconstructed tensors in pool-backed buffers, agg.Sharded folds them
+// into its accumulator (fl.RunRound through Sharded.Fold), and Release
+// recycles the storage for the next client's decode. Releasing a dict the caller still reads (or one whose tensors
 // are shared with live state) corrupts data; when in doubt, let the
 // garbage collector have it instead.
 func Release(sd *tensor.StateDict) {

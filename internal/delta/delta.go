@@ -11,7 +11,8 @@
 //
 //   - Ref: the retained-reference holder transports embed
 //     (fl.FedSZTransport, fl.NetTransport) and servers consume via
-//     Provider (flserve.Config.RefProvider). The session-oriented
+//     Provider (flserve.Config.RefProvider), fl.NetTransport's round
+//     server included. The session-oriented
 //     fedsz.DeltaCodec layers the same holder over a fedsz.Codec.
 //   - Controller: a closed-loop tuner that retunes the REL/ABS error bound
 //     each round toward a target bytes-per-round or an accuracy floor,
@@ -68,4 +69,3 @@ func (r *Ref) Provider() func(epoch uint32) *tensor.StateDict {
 		return nil
 	}
 }
-

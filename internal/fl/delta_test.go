@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bytes"
 	"context"
 	"math/rand/v2"
 	"strings"
@@ -66,8 +65,8 @@ func TestFedSZTransportDeltaRounds(t *testing.T) {
 
 // TestNetTransportDeltaStreamingMatchesInMemory: the socket path — FLS2
 // negotiation, residual encode straight into the framer, server decode
-// against the provider's reference — must reproduce the in-memory delta
-// pipeline bit for bit.
+// against the provider's reference, fold — must fold the in-memory delta
+// pipeline's values.
 func TestNetTransportDeltaStreamingMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
@@ -91,11 +90,6 @@ func TestNetTransportDeltaStreamingMatchesInMemory(t *testing.T) {
 		}
 		sds[i] = sd
 	}
-	sr, err := nt.EncodeUploadAll(context.Background(), sds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	held, epoch, ok := nt.ref.Get()
 	if !ok || epoch != 1 {
 		t.Fatalf("reference not retained: ok=%v epoch=%d", ok, epoch)
@@ -104,6 +98,7 @@ func TestNetTransportDeltaStreamingMatchesInMemory(t *testing.T) {
 	opts.Reference, opts.RefEpoch = held, epoch
 	dopts := core.DecodeOptions{Reference: held, RefEpoch: epoch}
 	deltaSections := 0
+	decoded := make([]*tensor.StateDict, len(sds))
 	for i, sd := range sds {
 		stream, stats, err := core.CompressWith(context.Background(), sched.Default(), sd, opts)
 		if err != nil {
@@ -113,20 +108,14 @@ func TestNetTransportDeltaStreamingMatchesInMemory(t *testing.T) {
 			t.Fatalf("client %d: in-memory stream version %d, want 3", i, stream[4])
 		}
 		deltaSections += stats.DeltaTensors
-		want, _, err := core.DecompressOpts(context.Background(), sched.Default(), stream, dopts)
-		if err != nil {
+		if decoded[i], _, err = core.DecompressOpts(context.Background(), sched.Default(), stream, dopts); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(sr.Decoded[i].Marshal(), want.Marshal()) {
-			t.Fatalf("client %d: streamed delta decode not bit-identical to in-memory delta decode", i)
 		}
 	}
 	if deltaSections == 0 {
 		t.Fatal("correlated updates produced no residual sections")
 	}
-	if nt.LastStats.Updates != len(sds) || nt.LastStats.Rejected != 0 {
-		t.Fatalf("server stats %+v", nt.LastStats)
-	}
+	checkUploadMatchesOracle(t, nt, sds, oracleMean(t, decoded))
 }
 
 // TestControllerRetunesTransport: with a Controller whose byte budget is
@@ -149,8 +138,8 @@ func TestControllerRetunesTransport(t *testing.T) {
 	}
 }
 
-// TestRunRoundAccumulatorMismatchFails: a retained accumulator from a
-// structurally different model must fail the round with the explicit
+// TestRunRoundAccumulatorMismatchFails: a retained mean scratch from a
+// structurally different model must fail the round with agg's explicit
 // incompatibility error, not silently reallocate.
 func TestRunRoundAccumulatorMismatchFails(t *testing.T) {
 	fed := smokeFederation(t, RawTransport{}, 3)
@@ -158,12 +147,12 @@ func TestRunRoundAccumulatorMismatchFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the bug the check exists for: the global model changed
-	// structure while the pooled accumulator from the old one survived.
+	// structure while the retained mean scratch from the old one survived.
 	stale := tensor.NewStateDict()
 	stale.Add("conv.weight", tensor.KindWeight, tensor.New(8, 8))
-	fed.acc = stale
+	fed.mean = stale
 	_, err := fed.RunRound(context.Background(), 1, 1)
-	if err == nil || !strings.Contains(err.Error(), "accumulator incompatible") {
+	if err == nil || !strings.Contains(err.Error(), "incompatible with accumulator") {
 		t.Fatalf("stale accumulator not detected: %v", err)
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/delta"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
-	"repro/internal/wire"
 )
 
 // Transport encodes a client's state dict for the wire and decodes it at
@@ -33,9 +32,8 @@ import (
 // the socket-backed one).
 //
 // Decoded state dicts are owned by the caller: their tensor buffers may be
-// pool-backed, and a caller that folds a decoded dict and discards it may
-// recycle the storage via core.Release — the steady-state zero-allocation
-// path RunRound takes.
+// pool-backed. RunRound hands each one to agg.Sharded.Fold, which adopts
+// the first as the accumulator and recycles the rest via core.Release.
 type Transport interface {
 	// Name identifies the transport in experiment output.
 	Name() string
@@ -46,46 +44,29 @@ type Transport interface {
 	Decode(ctx context.Context, payload []byte) (*tensor.StateDict, error)
 }
 
-// BatchTransport is an optional Transport extension: a server-side decoder
-// that ingests a whole round of client payloads under one parallelism
-// budget. RunRound uses it when available instead of per-payload Decode.
-type BatchTransport interface {
-	Transport
-	// DecodeAll decodes payload i into result i; results must be
-	// identical to calling Decode on each payload. The returned durations
-	// report each payload's own decode time (summed, they reproduce the
-	// serial per-client cost the paper's Figure 6 accounts).
-	DecodeAll(ctx context.Context, payloads [][]byte) ([]*tensor.StateDict, []time.Duration, error)
-}
-
-// StreamRound is what one fused encode+upload+decode pass over a batch of
-// client updates produced.
-type StreamRound struct {
-	// Decoded holds the server-side decoded dicts, index-aligned with the
-	// input state dicts.
-	Decoded []*tensor.StateDict
-	// EncodeDur and DecodeDur report each client's own compress/decode
-	// work, socket waits excluded — the per-client accounting of paper
-	// Figure 6 regardless of how uploads and decodes overlapped.
-	EncodeDur []time.Duration
-	DecodeDur []time.Duration
+// UploadStats is what one UploadAll round cost.
+type UploadStats struct {
+	// Encode sums each client's own compress work, socket waits excluded.
+	// Decode is the server's decode cost over the round: max(Wall−ReadWait,
+	// DecodeWork) of its summed flserve.Stats. Both keep the per-client
+	// accounting of paper Figure 6, however the uploads overlapped.
+	Encode, Decode time.Duration
 	// RawBytes sums the uncompressed update sizes; WireBytes counts the
 	// bytes that actually crossed the socket (framing included).
 	RawBytes  int
 	WireBytes int64
 }
 
-// StreamBatchTransport is an optional Transport extension for transports
-// that can fuse client-side encode with the upload itself: each state
-// dict compresses section-by-section straight into the transport — no
-// intermediate whole-stream payload — while the server decodes it as it
-// arrives. RunRound prefers this over Encode+DecodeAll when available.
-type StreamBatchTransport interface {
+// UploadTransport is an optional Transport extension for transports that
+// carry a round to a real aggregation server: each state dict compresses
+// straight into the upload, and the server folds it into the round's
+// accumulator as it arrives, exactly as fedsz-serve does. RunRound
+// prefers this over Encode+Decode when available.
+type UploadTransport interface {
 	Transport
-	// EncodeUploadAll streams every state dict through the transport and
-	// returns the server-decoded results in input order. Results must be
-	// bit-identical to Decode(Encode(sd)).
-	EncodeUploadAll(ctx context.Context, sds []*tensor.StateDict) (*StreamRound, error)
+	// UploadAll uploads sds[i] as client i and folds every update into
+	// into. The fold order is the arrival order.
+	UploadAll(ctx context.Context, sds []*tensor.StateDict, into *agg.Sharded) (*UploadStats, error)
 }
 
 // ReferenceTransport is an optional Transport extension for transports that
@@ -133,9 +114,6 @@ func (RawTransport) Decode(_ context.Context, p []byte) (*tensor.StateDict, erro
 // FedSZTransport compresses updates with the FedSZ pipeline.
 type FedSZTransport struct {
 	Opts core.Options
-	// Parallel is the server-side decode budget shared across a round's
-	// batch (0 selects GOMAXPROCS).
-	Parallel int
 	// Delta enables cross-round delta compression: once RunRound supplies a
 	// reference via SetReference, updates encode as v3 residual streams
 	// against it and decode against the same retained copy. Set before the
@@ -210,38 +188,21 @@ func (t *FedSZTransport) Decode(ctx context.Context, p []byte) (*tensor.StateDic
 	return sd, err
 }
 
-// DecodeAll implements BatchTransport: the whole round's payloads decode
-// under one shared parallelism budget.
-func (t *FedSZTransport) DecodeAll(ctx context.Context, payloads [][]byte) ([]*tensor.StateDict, []time.Duration, error) {
-	sds, stats, err := core.DecompressAllOpts(ctx, sched.NewPool(t.Parallel), payloads, t.decodeOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	durs := make([]time.Duration, len(stats))
-	for i, s := range stats {
-		durs[i] = s.DecompressTime
-	}
-	return sds, durs, nil
-}
-
 // NetTransport is FedSZTransport carried over real loopback TCP: client
-// updates upload to an in-process flserve aggregation server, which
-// decodes each tensor while the next is still arriving (see
+// updates upload to an in-process flserve aggregation server whose
+// Ingestor is the round's agg.Sharded, so it decodes each tensor while
+// the next is still arriving and folds exactly like fedsz-serve (see
 // internal/flserve for the pipelining and backpressure model). Where
-// FedSZTransport.DecodeAll measures the batched in-memory path, this
-// transport measures the same round end-to-end on sockets — framing,
-// CRC verification, kernel buffers, and TCP flow control included.
+// FedSZTransport measures the in-memory path, this transport measures
+// the same round end-to-end on sockets — framing, CRC verification,
+// kernel buffers, and TCP flow control included.
 //
 // A round's uploads are multiplexed over a handful of reused connections
 // (the flserve multi-update protocol), so dial and prelude cost is paid
-// per session, not per client. Through EncodeUploadAll the transport also
-// fuses the client-side encode into the upload: each state dict
-// compresses straight into its session's wire framer, overlapping encode
-// with send.
+// per session, not per client. Each state dict compresses straight into
+// its session's wire framer, overlapping encode with send.
 type NetTransport struct {
 	Opts core.Options
-	// Parallel is the server-side decode budget (0 selects GOMAXPROCS).
-	Parallel int
 	// Link optionally throttles each client's upload to a constrained
 	// uplink (the paper's 10 Mbps edge setting); zero uploads unthrottled.
 	Link netsim.Link
@@ -263,7 +224,7 @@ type NetTransport struct {
 	// the first round.
 	Delta bool
 	// LastStats holds the server's ingest counters from the most recent
-	// batch call, including the decode/receive overlap ratio. It is
+	// UploadAll, including the decode/receive overlap ratio. It is
 	// written only as that call returns; read it after the round, not
 	// concurrently with one.
 	LastStats flserve.Stats
@@ -334,62 +295,14 @@ func (t *NetTransport) dial(ctx context.Context, c *flserve.Client) (*flserve.Se
 	return c.Dial(ctx)
 }
 
-// roundCollector is netRound's StreamIngestor: it decodes each whole
-// update on the round's pool (wire de-framing into core.DecompressFromOpts,
-// then the trailer drained so an update is acked only after its
-// whole-stream CRC verified) and keeps the dict by client ID — the
-// BatchTransport contract's per-client dicts, bit-identical to an
-// in-memory decode of the same payload.
-type roundCollector struct {
-	pool    *sched.Pool
-	mu      sync.Mutex
-	results []*tensor.StateDict
-	durs    []time.Duration
-}
-
-func (c *roundCollector) IngestStream(ctx context.Context, client uint32, _ float64, dopts core.DecodeOptions, r io.Reader) (int64, core.DecompressStats, error) {
-	wr := wire.NewReader(r)
-	defer wr.Close()
-	sd, st, err := core.DecompressFromOpts(ctx, c.pool, wr, dopts)
-	if err != nil {
-		return 0, core.DecompressStats{}, err
-	}
-	if _, err := io.Copy(io.Discard, wr); err != nil {
-		core.Release(sd)
-		return 0, core.DecompressStats{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case int(client) >= len(c.results):
-		core.Release(sd)
-		return 0, core.DecompressStats{}, fmt.Errorf("fl: unexpected client id %d", client)
-	case c.results[client] != nil:
-		// A retry after a lost ack re-delivers an already-folded update;
-		// keep the first result (uploads are at-least-once) and recycle
-		// the duplicate's decode buffers.
-		core.Release(sd)
-	default:
-		c.results[client] = sd
-		d := st.DecompressTime - st.ReadWait
-		if d < st.DecodeWork {
-			d = st.DecodeWork
-		}
-		c.durs[client] = d
-	}
-	return wr.WireBytes(), *st, nil
-}
-
-// netRound is the shared server+session scaffolding behind DecodeAll and
-// EncodeUploadAll: an ephemeral aggregation server, a roundCollector
-// keeping results by client ID, and n updates multiplexed over a few
-// reused sessions. upload sends update i on its session.
-func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx context.Context, s *flserve.Session, i int) error) ([]*tensor.StateDict, []time.Duration, error) {
-	col := &roundCollector{
-		pool:    sched.NewPool(t.Parallel),
-		results: make([]*tensor.StateDict, n),
-		durs:    make([]time.Duration, n),
-	}
+// UploadAll implements UploadTransport. An ephemeral aggregation server
+// ingests into into; updates stripe over the reused sessions (client i
+// carries ID i), and each state dict compresses straight into its
+// session's wire framer — header and tensor sections hit the socket while
+// later tensors are still compressing. With Sessions = 1 the updates fold
+// in client order.
+func (t *NetTransport) UploadAll(ctx context.Context, sds []*tensor.StateDict, into *agg.Sharded) (*UploadStats, error) {
+	n := len(sds)
 	var refProvider func(uint32) *tensor.StateDict
 	if t.Delta {
 		refProvider = t.ref.Provider()
@@ -397,10 +310,10 @@ func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx cont
 	srv, err := flserve.Listen("127.0.0.1:0", flserve.Config{
 		UploadTimeout: t.Timeout,
 		RefProvider:   refProvider,
-		Ingestor:      col,
+		Ingestor:      into,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	sessions := t.Sessions
@@ -412,6 +325,7 @@ func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx cont
 		Addr: srv.Addr().String(), Link: t.Link,
 		Timeout: t.Timeout, Retries: t.Retries,
 	}
+	encDurs := make([]time.Duration, n)
 	upErrs := make([]error, n)
 	var wg sync.WaitGroup
 	// Stripe updates over the sessions: session s carries clients s,
@@ -446,7 +360,11 @@ func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx cont
 						sess, err = t.dial(actx, client)
 					}
 					if err == nil {
-						err = upload(actx, sess, i)
+						var st *core.Stats
+						if st, err = sess.UploadState(actx, uint32(i), sds[i], t.uploadOpts(sess), sched.Default()); err == nil {
+							// The client's own compress cost, socket waits excluded.
+							encDurs[i] = max(st.CompressTime-st.WriteWait, st.EncodeWork)
+						}
 					}
 					cancel()
 					if err == nil {
@@ -481,68 +399,22 @@ func (t *NetTransport) netRound(ctx context.Context, n int, upload func(ctx cont
 	closeErr := srv.Close()
 	for i, err := range upErrs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("fl: net upload client %d: %w", i, err)
+			return nil, fmt.Errorf("fl: net upload client %d: %w", i, err)
 		}
 	}
 	if closeErr != nil {
-		return nil, nil, closeErr
-	}
-	for i, sd := range col.results {
-		if sd == nil {
-			return nil, nil, fmt.Errorf("fl: client %d update never arrived", i)
-		}
+		return nil, closeErr
 	}
 	t.LastStats = srv.Snapshot()
-	return col.results, col.durs, nil
-}
-
-// DecodeAll implements BatchTransport: pre-compressed payloads upload over
-// the reused sessions (client i carries ID i) and the decoded dicts return
-// in payload order, bit-identical to Decode on each payload. The returned
-// durations report each payload's own decode cost (wall clock minus time
-// blocked on the socket), preserving the per-client accounting of paper
-// Figure 6.
-func (t *NetTransport) DecodeAll(ctx context.Context, payloads [][]byte) ([]*tensor.StateDict, []time.Duration, error) {
-	return t.netRound(ctx, len(payloads), func(ctx context.Context, s *flserve.Session, i int) error {
-		return s.Upload(ctx, uint32(i), payloads[i])
-	})
-}
-
-// EncodeUploadAll implements StreamBatchTransport: each state dict
-// compresses straight into its session's wire framer — header and tensor
-// sections hit the socket while later tensors are still compressing — so
-// no client ever materializes its whole compressed stream. Decoded
-// results are bit-identical to the in-memory pipeline's.
-func (t *NetTransport) EncodeUploadAll(ctx context.Context, sds []*tensor.StateDict) (*StreamRound, error) {
-	encDurs := make([]time.Duration, len(sds))
-	rawBytes := 0
-	for _, sd := range sds {
-		rawBytes += sd.SizeBytes()
-	}
-	decoded, decDurs, err := t.netRound(ctx, len(sds), func(ctx context.Context, s *flserve.Session, i int) error {
-		stats, err := s.UploadState(ctx, uint32(i), sds[i], t.uploadOpts(s), sched.Default())
-		if err != nil {
-			return err
-		}
-		// The client's own compress cost, socket waits excluded — the
-		// encode-side mirror of the decode duration derivation.
-		d := stats.CompressTime - stats.WriteWait
-		if d < stats.EncodeWork {
-			d = stats.EncodeWork
-		}
-		encDurs[i] = d
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &StreamRound{
-		Decoded:   decoded,
-		EncodeDur: encDurs,
-		DecodeDur: decDurs,
-		RawBytes:  rawBytes,
+	st := &UploadStats{
+		Decode:    max(t.LastStats.Wall-t.LastStats.ReadWait, t.LastStats.DecodeWork),
 		WireBytes: t.LastStats.WireBytes,
-	}, nil
+	}
+	for i, sd := range sds {
+		st.Encode += encDurs[i]
+		st.RawBytes += sd.SizeBytes()
+	}
+	return st, nil
 }
 
 // Client is one FedAvg participant: a local model, a data shard, and an
@@ -610,11 +482,12 @@ type RoundTimings struct {
 	Compress time.Duration // sum of client Encode times
 	// Decompress sums each client payload's own decode time — the
 	// per-client accounting of paper Figure 6, regardless of how the
-	// server parallelizes the batch.
+	// server parallelizes the batch (UploadStats.Decode for an
+	// UploadTransport).
 	Decompress time.Duration
 	// DecompressWall is the wall-clock of the server-side decode +
-	// aggregate phase; with a BatchTransport on a multicore server it is
-	// smaller than Decompress.
+	// aggregate phase (upload included for an UploadTransport); on a
+	// multicore server it is smaller than Decompress.
 	DecompressWall time.Duration
 	Validate       time.Duration
 }
@@ -649,10 +522,11 @@ type Federation struct {
 	// is traced as a "controller" event.
 	Controller *delta.Controller
 
-	// acc is the FedAvg accumulator, pooled on first use and rezeroed in
-	// place every subsequent round (LoadStateDict copies out of it, so
-	// holding it across rounds is safe).
-	acc *tensor.StateDict
+	// agg is the round's FedAvg fold, reset every round. mean is the
+	// scratch its MeanInto fills and LoadStateDict copies out of, so
+	// holding both across rounds is safe.
+	agg  *agg.Sharded
+	mean *tensor.StateDict
 }
 
 // NewFederation wires a federation together. All client networks must be
@@ -672,7 +546,7 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 		// baseline both ends encode and decode against.
 		rt.SetReference(globalState)
 	}
-	_, streaming := f.Transport.(StreamBatchTransport)
+	uploader, uploads := f.Transport.(UploadTransport)
 
 	type clientOut struct {
 		payload  []byte
@@ -696,8 +570,8 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 			t0 := time.Now()
 			outs[i].loss = c.TrainEpochs(localEpochs)
 			outs[i].trainDur = time.Since(t0)
-			if streaming {
-				// A streaming transport fuses encode with upload; the
+			if uploads {
+				// An uploading transport fuses encode with upload; the
 				// client hands over its state dict instead of a payload.
 				outs[i].state = c.Net.StateDict()
 				return
@@ -731,87 +605,39 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 		res.Timings.Compress += o.encDur
 	}
 
-	// Server-side decode + FedAvg aggregation in deterministic client
-	// order, chunk-wise so each chunk is folded into the accumulator and
-	// released before the next decodes — peak memory stays O(chunk × model)
-	// rather than O(clients × model). A StreamBatchTransport additionally
-	// fuses the encode into each chunk's upload; a BatchTransport decodes
-	// pre-encoded payloads under one shared parallelism budget.
-	if f.acc != nil {
-		// A retained accumulator that no longer matches the model means the
-		// global network changed structure mid-federation — a bug ZeroInto's
-		// silent reallocation would paper over (stale pooled buffers, wrong
-		// aggregation). Fail loudly instead.
-		if err := f.acc.CheckCompatible(globalState); err != nil {
-			return nil, fmt.Errorf("fl: accumulator incompatible with global model: %w", err)
-		}
+	// Server-side decode + FedAvg fold through agg.Sharded, the one fold
+	// every server uses.
+	if f.agg == nil {
+		f.agg = agg.New(agg.Config{DedupByClient: true})
 	}
-	f.acc = globalState.ZeroInto(f.acc)
-	acc := f.acc
-	weight := 1 / float32(len(f.Clients))
-	chunk := 2 * runtime.GOMAXPROCS(0)
+	f.agg.Reset()
 	t0 := time.Now()
-	switch tr := f.Transport.(type) {
-	case StreamBatchTransport:
-		for lo := 0; lo < len(states); lo += chunk {
-			hi := min(lo+chunk, len(states))
-			sr, err := tr.EncodeUploadAll(ctx, states[lo:hi])
-			if err != nil {
-				return nil, fmt.Errorf("fl: stream round clients %d-%d: %w", lo, hi-1, err)
-			}
-			res.RawBytes += sr.RawBytes
-			res.WireBytes += int(sr.WireBytes)
-			for _, d := range sr.EncodeDur {
-				res.Timings.Compress += d
-			}
-			for _, d := range sr.DecodeDur {
-				res.Timings.Decompress += d
-			}
-			for i, sd := range sr.Decoded {
-				if err := acc.AddScaled(sd, weight); err != nil {
-					return nil, fmt.Errorf("fl: aggregate client %d: %w", lo+i, err)
-				}
-				// Folded and dead: hand the decode buffers back to the pool
-				// so the next chunk's decodes reuse them.
-				core.Release(sd)
-				states[lo+i] = nil
-			}
+	if uploads {
+		st, err := uploader.UploadAll(ctx, states, f.agg)
+		if err != nil {
+			return nil, fmt.Errorf("fl: upload round: %w", err)
 		}
-	case BatchTransport:
-		for lo := 0; lo < len(payloads); lo += chunk {
-			hi := min(lo+chunk, len(payloads))
-			sds, durs, err := tr.DecodeAll(ctx, payloads[lo:hi])
-			if err != nil {
-				return nil, fmt.Errorf("fl: batch decode clients %d-%d: %w", lo, hi-1, err)
-			}
-			for _, d := range durs {
-				res.Timings.Decompress += d
-			}
-			for i, sd := range sds {
-				if err := acc.AddScaled(sd, weight); err != nil {
-					return nil, fmt.Errorf("fl: aggregate client %d: %w", lo+i, err)
-				}
-				core.Release(sd)
-				payloads[lo+i] = nil
-			}
+		res.RawBytes += st.RawBytes
+		res.WireBytes += int(st.WireBytes)
+		res.Timings.Compress += st.Encode
+		res.Timings.Decompress = st.Decode
+	} else {
+		d, err := f.decodeFold(ctx, payloads)
+		if err != nil {
+			return nil, err
 		}
-	default:
-		for i, p := range payloads {
-			t1 := time.Now()
-			sd, err := f.Transport.Decode(ctx, p)
-			res.Timings.Decompress += time.Since(t1)
-			if err != nil {
-				return nil, fmt.Errorf("fl: decode client %d: %w", i, err)
-			}
-			if err := acc.AddScaled(sd, weight); err != nil {
-				return nil, fmt.Errorf("fl: aggregate client %d: %w", i, err)
-			}
-			core.Release(sd)
-			payloads[i] = nil
-		}
+		res.Timings.Decompress = d
 	}
+	mean, n, err := f.agg.MeanInto(f.mean)
+	if err != nil {
+		return nil, fmt.Errorf("fl: %w", err)
+	}
+	if n != len(f.Clients) {
+		return nil, fmt.Errorf("fl: folded %d of %d client updates", n, len(f.Clients))
+	}
+	f.mean = mean
 	res.Timings.DecompressWall = time.Since(t0)
-	if err := f.Global.LoadStateDict(acc); err != nil {
+	if err := f.Global.LoadStateDict(mean); err != nil {
 		return nil, err
 	}
 
@@ -850,6 +676,50 @@ func (f *Federation) RunRound(ctx context.Context, round, localEpochs int) (*Rou
 		telemetry.A("validate_us", res.Timings.Validate.Microseconds()),
 	)
 	return res, nil
+}
+
+// decodeFold decodes payloads chunk-wise, each chunk concurrently on the
+// shared pool (the nesting core.DecompressAllOpts uses), and folds the
+// chunk in client order before the next one decodes, so peak memory stays
+// O(chunk × model) rather than O(clients × model). It returns the summed
+// per-payload decode time.
+func (f *Federation) decodeFold(ctx context.Context, payloads [][]byte) (time.Duration, error) {
+	pool := sched.Default()
+	chunk := 2 * runtime.GOMAXPROCS(0)
+	sds := make([]*tensor.StateDict, chunk)
+	durs := make([]time.Duration, chunk)
+	errs := make([]error, chunk)
+	var total time.Duration
+	for lo := 0; lo < len(payloads); lo += chunk {
+		hi := min(lo+chunk, len(payloads))
+		cerr := pool.ForEachCtx(ctx, hi-lo, func(i int) {
+			t0 := time.Now()
+			sds[i], errs[i] = f.Transport.Decode(ctx, payloads[lo+i])
+			durs[i] = time.Since(t0)
+		})
+		for i := 0; i < hi-lo; i++ {
+			err := cerr
+			if err == nil && errs[i] != nil {
+				err = fmt.Errorf("fl: decode client %d: %w", lo+i, errs[i])
+			}
+			if err == nil {
+				if err = f.agg.Fold(uint32(lo+i), 1, sds[i]); err != nil {
+					err = fmt.Errorf("fl: aggregate client %d: %w", lo+i, err)
+				}
+			}
+			if err != nil {
+				// Fold owns only what it accepted; recycle the rest.
+				for _, sd := range sds[i : hi-lo] {
+					core.Release(sd)
+				}
+				return 0, err
+			}
+			total += durs[i]
+			payloads[lo+i] = nil
+		}
+		clear(sds)
+	}
+	return total, nil
 }
 
 // Evaluate computes global-model top-1 accuracy on the test set.

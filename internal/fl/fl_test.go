@@ -3,13 +3,16 @@ package fl
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ebcl"
+	"repro/internal/flserve"
 	"repro/internal/nn/models"
 	"repro/internal/tensor"
 )
@@ -201,7 +204,7 @@ func shardedSmokeFederation(t *testing.T, transport Transport, seed uint64, shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := make([]*Client, 2)
+	clients := make([]*Client, len(shards))
 	for i := range clients {
 		crng := rand.New(rand.NewPCG(seed, uint64(i)+10))
 		net, err := models.BuildMini("alexnet", crng, in)
@@ -288,110 +291,140 @@ func TestRoundPipelineNonIIDSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeMatchesPerPayload: the BatchTransport wiring RunRound
-// uses must decode bit-identically to per-payload Decode.
-func TestBatchDecodeMatchesPerPayload(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	tr := NewFedSZTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var bt BatchTransport = tr // compile-time: FedSZTransport batches
+// oracleMean is the adopt-first FedAvg fold of updates in order: a clone
+// of the first, AddScaled(·, 1) of the rest, one float32 divide by the
+// count — the arithmetic agg.Sharded performs under sequential ingest.
+func oracleMean(t *testing.T, updates []*tensor.StateDict) *tensor.StateDict {
+	t.Helper()
+	mean := updates[0].Clone()
+	for _, sd := range updates[1:] {
+		if err := mean.AddScaled(sd, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mean.Scale(1 / float32(len(updates)))
+	return mean
+}
 
-	payloads := make([][]byte, 6)
-	for i := range payloads {
+// miniStates builds n distinct mini-AlexNet state dicts.
+func miniStates(t *testing.T, rng *rand.Rand, n int) []*tensor.StateDict {
+	t.Helper()
+	sds := make([]*tensor.StateDict, n)
+	for i := range sds {
 		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads[i], _, err = tr.Encode(context.Background(), net.StateDict())
+		sds[i] = net.StateDict()
+	}
+	return sds
+}
+
+// decodeInMemory is the in-memory reference for the socket path:
+// Encode then Decode of every state dict.
+func decodeInMemory(t *testing.T, nt *NetTransport, sds []*tensor.StateDict) []*tensor.StateDict {
+	t.Helper()
+	out := make([]*tensor.StateDict, len(sds))
+	for i, sd := range sds {
+		payload, _, err := nt.Encode(context.Background(), sd)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if out[i], err = nt.Decode(context.Background(), payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	batch, durs, err := bt.DecodeAll(context.Background(), payloads)
+	return out
+}
+
+// uploadMean runs one UploadAll round of sds into a fresh deduplicating
+// aggregator and returns its mean and the round's stats.
+func uploadMean(t *testing.T, nt *NetTransport, sds []*tensor.StateDict) (*tensor.StateDict, *UploadStats) {
+	t.Helper()
+	into := agg.New(agg.Config{DedupByClient: true})
+	st, err := nt.UploadAll(context.Background(), sds, into)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(durs) != len(payloads) {
-		t.Fatalf("got %d durations for %d payloads", len(durs), len(payloads))
+	mean, n := into.Mean()
+	if n != len(sds) {
+		t.Fatalf("folded %d updates, want %d", n, len(sds))
 	}
-	for i, d := range durs {
-		if d <= 0 {
-			t.Fatalf("payload %d: non-positive decode duration %v", i, d)
-		}
+	if ls := nt.LastStats; ls.Updates != len(sds) || ls.Rejected != 0 {
+		t.Fatalf("server stats %+v", ls)
 	}
-	for i, p := range payloads {
-		single, err := tr.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := batch[i].MaxAbsDiff(single)
-		if err != nil || d != 0 {
-			t.Fatalf("payload %d: batch decode differs (d=%v err=%v)", i, d, err)
-		}
+	return mean, st
+}
+
+// checkUploadMatchesOracle asserts UploadAll's mean against want, the
+// oracle over in-memory decodes: bit for bit over one session (client
+// order is the fold order), and within agg's concurrent conformance
+// tolerance (1e-5) over the default sessions, where arrival order
+// reassociates the float additions.
+func checkUploadMatchesOracle(t *testing.T, nt *NetTransport, sds []*tensor.StateDict, want *tensor.StateDict) {
+	t.Helper()
+	nt.Sessions = 1
+	got, _ := uploadMean(t, nt, sds)
+	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatal("single-session UploadAll mean not bit-identical to the oracle over in-memory decodes")
+	}
+	nt.Sessions = 0
+	got, _ = uploadMean(t, nt, sds)
+	if d, err := got.MaxAbsDiff(want); err != nil || d > 1e-5 {
+		t.Fatalf("multi-session UploadAll mean off the oracle: d=%v err=%v", d, err)
 	}
 }
 
-// TestNetTransportMatchesInMemoryDecode: the loopback-socket batch path
-// must produce state dicts bit-identical to per-payload in-memory decode.
+// TestRunRoundMatchesAdoptFirstOracle: a round over the lossless
+// RawTransport must leave the global model equal, bit for bit, to the
+// adopt-first oracle over the clients' post-training states — RunRound
+// folds through agg.Sharded in client order. Three clients, because a
+// power-of-two count makes every fold order round alike.
+func TestRunRoundMatchesAdoptFirstOracle(t *testing.T) {
+	fed := shardedSmokeFederation(t, RawTransport{}, 5, func(d *dataset.Dataset) []*dataset.Dataset {
+		return dataset.ShardIID(d, 3, 5)
+	})
+	if _, err := fed.RunRound(context.Background(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	states := make([]*tensor.StateDict, len(fed.Clients))
+	for i, c := range fed.Clients {
+		states[i] = c.Net.StateDict()
+	}
+	if !bytes.Equal(fed.Global.StateDict().Marshal(), oracleMean(t, states).Marshal()) {
+		t.Fatal("global after RunRound differs from the adopt-first oracle over client states")
+	}
+}
+
+// TestNetTransportMatchesInMemoryDecode: the loopback-socket round must
+// fold the same values an in-memory decode of each update produces.
 func TestNetTransportMatchesInMemoryDecode(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var bt BatchTransport = nt // compile-time: NetTransport batches
-
-	payloads := make([][]byte, 6)
-	for i := range payloads {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i], _, err = nt.Encode(context.Background(), net.StateDict())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch, durs, err := bt.DecodeAll(context.Background(), payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(durs) != len(payloads) {
-		t.Fatalf("got %d durations for %d payloads", len(durs), len(payloads))
-	}
-	for i, d := range durs {
-		if d <= 0 {
-			t.Fatalf("payload %d: non-positive decode duration %v", i, d)
-		}
-	}
-	for i, p := range payloads {
-		single, err := nt.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(batch[i].Marshal(), single.Marshal()) {
-			t.Fatalf("payload %d: socket decode not bit-identical to in-memory decode", i)
-		}
-	}
-	if st := nt.LastStats; st.Updates != len(payloads) || st.Rejected != 0 {
-		t.Fatalf("server stats %+v", st)
-	}
+	var _ UploadTransport = nt // compile-time: NetTransport uploads
+	sds := miniStates(t, rng, 6)
+	checkUploadMatchesOracle(t, nt, sds, oracleMean(t, decodeInMemory(t, nt, sds)))
 }
 
-// TestNetTransportRejectsCorruptPayload: a damaged upload must fail the
-// round cleanly rather than fold garbage.
+// TestNetTransportRejectsCorruptPayload: an update whose layout differs
+// from the accumulator's must fail the round as a server rejection and
+// leave the accumulator as the first update defined it.
 func TestNetTransportRejectsCorruptPayload(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
 	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
+	nt.Sessions = 1
+	good := miniStates(t, rng, 1)[0]
+	net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, _, err := nt.Encode(context.Background(), net.StateDict())
-	if err != nil {
-		t.Fatal(err)
+	into := agg.New(agg.Config{DedupByClient: true})
+	_, err = nt.UploadAll(context.Background(), []*tensor.StateDict{good, net.StateDict()}, into)
+	if !errors.Is(err, flserve.ErrRejected) {
+		t.Fatalf("mismatched layout: err=%v, want a server rejection", err)
 	}
-	// Truncation is guaranteed-detectable corruption (a mid-payload bit
-	// flip may land in don't-care bytes and decode to garbage values).
-	bad := append([]byte(nil), good[:len(good)-7]...)
-	if _, _, err := nt.DecodeAll(context.Background(), [][]byte{good, bad}); err == nil {
-		t.Fatal("corrupt payload decoded without error")
+	if n := into.Count(); n != 1 {
+		t.Fatalf("accumulator holds %d updates, want only the first", n)
 	}
 }
 
@@ -470,84 +503,33 @@ func BenchmarkFederatedRound(b *testing.B) {
 }
 
 // TestNetTransportEncodeUploadAll: the fused streaming round — encode
-// straight into the socket, decode while receiving — must reproduce the
-// in-memory pipeline bit-for-bit and account bytes and timings.
+// straight into the socket, decode and fold while receiving — must fold
+// the in-memory pipeline's values and account bytes and timings.
 func TestNetTransportEncodeUploadAll(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 24))
 	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	var st StreamBatchTransport = nt // compile-time: NetTransport streams
+	sds := miniStates(t, rng, 5)
+	checkUploadMatchesOracle(t, nt, sds, oracleMean(t, decodeInMemory(t, nt, sds)))
 
-	sds := make([]*tensor.StateDict, 5)
-	for i := range sds {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sds[i] = net.StateDict()
+	_, st := uploadMean(t, nt, sds)
+	if st.Encode <= 0 || st.Decode <= 0 {
+		t.Fatalf("timings missing: %+v", st)
 	}
-	sr, err := st.EncodeUploadAll(context.Background(), sds)
-	if err != nil {
-		t.Fatal(err)
+	raw := 0
+	for _, sd := range sds {
+		raw += sd.SizeBytes()
 	}
-	if len(sr.Decoded) != len(sds) || len(sr.EncodeDur) != len(sds) || len(sr.DecodeDur) != len(sds) {
-		t.Fatalf("result sizes: %d/%d/%d for %d inputs",
-			len(sr.Decoded), len(sr.EncodeDur), len(sr.DecodeDur), len(sds))
-	}
-	for i, sd := range sds {
-		payload, _, err := nt.Encode(context.Background(), sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := nt.Decode(context.Background(), payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sr.Decoded[i].Marshal(), want.Marshal()) {
-			t.Fatalf("client %d: streamed-encode decode not bit-identical to in-memory", i)
-		}
-		if sr.EncodeDur[i] <= 0 || sr.DecodeDur[i] <= 0 {
-			t.Fatalf("client %d: timings missing (enc %v dec %v)", i, sr.EncodeDur[i], sr.DecodeDur[i])
-		}
-	}
-	if sr.RawBytes <= 0 || sr.WireBytes <= 0 {
-		t.Fatalf("byte accounting missing: %+v", sr)
-	}
-	if nt.LastStats.Updates != len(sds) || nt.LastStats.Rejected != 0 {
-		t.Fatalf("server stats %+v", nt.LastStats)
+	if st.RawBytes != raw || st.WireBytes != nt.LastStats.WireBytes || st.WireBytes <= 0 {
+		t.Fatalf("byte accounting: %+v (raw %d, server wire %d)", st, raw, nt.LastStats.WireBytes)
 	}
 }
 
 // TestNetTransportSingleSession: Sessions=1 carries the whole round over
-// one reused connection (the strict multi-update mode).
+// one reused connection (the strict multi-update mode), folding in client
+// order.
 func TestNetTransportSingleSession(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
 	nt := NewNetTransport(core.Options{LossyParams: ebcl.Rel(1e-2)})
-	nt.Sessions = 1
-	payloads := make([][]byte, 4)
-	for i := range payloads {
-		net, err := models.BuildMini("alexnet", rng, models.Input{Channels: 3, Height: 12, Width: 12, Classes: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i], _, err = nt.Encode(context.Background(), net.StateDict())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch, _, err := nt.DecodeAll(context.Background(), payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		want, err := nt.Decode(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(batch[i].Marshal(), want.Marshal()) {
-			t.Fatalf("payload %d: single-session decode differs", i)
-		}
-	}
-	if nt.LastStats.Updates != len(payloads) {
-		t.Fatalf("server stats %+v", nt.LastStats)
-	}
+	sds := miniStates(t, rng, 4)
+	checkUploadMatchesOracle(t, nt, sds, oracleMean(t, decodeInMemory(t, nt, sds)))
 }

@@ -9,7 +9,8 @@
 //
 // A connection opens with the "FLS1" magic and then carries any number of
 // updates — one wire stream each, acked individually — so a client (or a
-// whole round's worth of clients multiplexed by fl.NetTransport) pays the
+// whole round's worth of clients multiplexed by fl.NetTransport.UploadAll,
+// whose ephemeral server folds into the round's agg.Sharded) pays the
 // dial and prelude cost once:
 //
 //	client → server: magic(u32 "FLS1") update*
